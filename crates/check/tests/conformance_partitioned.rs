@@ -11,14 +11,15 @@
 //! its virtual time at the first true `parrived` is not earlier than the
 //! sender's `pready` stamp.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
-use rankmpi_check::{base_seed, engines_under_test};
-use rankmpi_core::{Info, Universe};
-use rankmpi_fabric::FaultPlan;
+use rankmpi_check::{base_seed, engines_under_test, explore, ExploreConfig, Task};
+use rankmpi_core::{Communicator, Info, ThreadCtx, Universe};
+use rankmpi_fabric::{FaultPlan, Notify};
 use rankmpi_partitioned::{precv_init, psend_init};
 
 const PARTS: usize = 8;
@@ -150,5 +151,95 @@ fn shuffled_pready_order_delivers_every_partition_intact() {
                 }
             });
         }
+    }
+}
+
+/// A one-shot flag a task can park on (through `Notify`, so an explored
+/// schedule sees no choice point while the waiter is blocked).
+#[derive(Default)]
+struct Gate(AtomicBool, Notify);
+
+impl Gate {
+    fn open(&self) {
+        self.0.store(true, Ordering::Release);
+        self.1.notify();
+    }
+
+    fn wait(&self) {
+        loop {
+            let seen = self.1.version();
+            if self.0.load(Ordering::Acquire) {
+                return;
+            }
+            self.1.wait_past(seen, Duration::from_secs(3600));
+        }
+    }
+}
+
+/// `PrecvRequest::wait` must read the notifier's version *before* it drives
+/// progress: a partition that lands between its progress pass and a late
+/// version read is never waited for, and a task parked on that stale
+/// version sleeps forever (the engine reports a deadlock).
+///
+/// Two gates hand control back and forth so that only one task is runnable
+/// until the receiver is about to wait and the sender is about to `pready`:
+/// every choice point of a schedule then interleaves the partitions' pushes
+/// with the receiver's wait loop. The losing interleaving lies about 25
+/// choices deep, past the exhaustive horizon, and about one random schedule
+/// in sixteen takes it; 400 samples miss it with probability below 1e-10.
+/// With the version read after progress, this test failed under every base
+/// seed tried (0–11) and every matching engine.
+#[test]
+fn precv_wait_sees_partitions_landing_during_its_progress_pass() {
+    const PARTS: usize = 2;
+    for kind in engines_under_test() {
+        let cfg = ExploreConfig {
+            depth: 10,
+            max_exhaustive: 600,
+            random_samples: 400,
+            extra_env: vec![("RANKMPI_CHECK_ENGINE", kind.name().to_string())],
+            ..ExploreConfig::with_seed(base_seed() ^ 0x9A3D)
+        };
+        explore("precv_wait_late_partition", &cfg, || {
+            let u = Universe::builder().nodes(2).matching(kind).build();
+            let universe = Arc::clone(u.shared());
+            // Receiver started → sender may start; sender started → both go.
+            let (recv_started, send_started) =
+                (Arc::new(Gate::default()), Arc::new(Gate::default()));
+            let ctx = |rank: usize| {
+                let proc = Arc::clone(universe.proc(rank));
+                let world = Communicator::world(Arc::clone(&universe), Arc::clone(&proc));
+                (world, ThreadCtx::new(0, proc, Arc::clone(&universe)))
+            };
+            let sender: Task = {
+                let (world, mut th) = ctx(0);
+                let (recv_started, send_started) =
+                    (Arc::clone(&recv_started), Arc::clone(&send_started));
+                Box::new(move || {
+                    recv_started.wait();
+                    let sreq = psend_init(&world, &mut th, 1, 4, PARTS, 8, &Info::new()).unwrap();
+                    sreq.start(&mut th).unwrap();
+                    send_started.open();
+                    for p in 0..PARTS {
+                        sreq.pready(&mut th, p, &[p as u8; 8]).unwrap();
+                    }
+                    sreq.wait(&mut th).unwrap();
+                })
+            };
+            let receiver: Task = {
+                let (world, mut th) = ctx(1);
+                Box::new(move || {
+                    let rreq = precv_init(&world, &mut th, 0, 4, PARTS, 8, &Info::new()).unwrap();
+                    rreq.start(&mut th).unwrap();
+                    recv_started.open();
+                    send_started.wait();
+                    let data = rreq.wait(&mut th).unwrap();
+                    for p in 0..PARTS {
+                        assert_eq!(data[p * 8], p as u8, "partition {p} corrupted");
+                    }
+                })
+            };
+            vec![sender, receiver]
+        });
     }
 }

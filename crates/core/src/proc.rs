@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use rankmpi_fabric::resil::ResilConfig;
-use rankmpi_fabric::{FaultPlan, Nic, Notify};
+use rankmpi_fabric::{FaultPlan, Nic, Notify, RankThread};
 use rankmpi_vtime::{engine, Clock};
 
 use crate::comm::Communicator;
@@ -66,7 +66,7 @@ impl ProcShared {
         fault: Option<(FaultPlan, Option<ResilConfig>)>,
         liveness: Arc<Liveness>,
     ) -> Arc<Self> {
-        let notify = Arc::new(Notify::new());
+        let notify = Arc::new(Notify::registered(rank));
         let direct = Arc::new(DirectRegistry::new());
         let crash = fault
             .as_ref()
@@ -429,6 +429,7 @@ impl ProcEnv {
                     let proc = Arc::clone(&self.proc);
                     let universe = Arc::clone(&self.universe);
                     s.spawn(move || {
+                        let _rank_thread = RankThread::enter();
                         let mut th = ThreadCtx::new(tid, proc, universe);
                         f(&mut th)
                     })

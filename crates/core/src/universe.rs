@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rankmpi_fabric::{FaultPlan, Liveness, NetworkProfile, Nic, ResilConfig};
+use rankmpi_fabric::{FaultPlan, Liveness, NetworkProfile, Nic, RankThread, ResilConfig};
 use rankmpi_obs::{labels, registry};
 use rankmpi_vtime::{engine, Nanos};
 
@@ -621,6 +621,7 @@ impl Universe {
                     let proc = Arc::clone(shared.proc(r));
                     let universe = Arc::clone(shared);
                     s.spawn(move || {
+                        let _rank_thread = RankThread::enter();
                         let tpp = universe.threads_per_proc();
                         f(ProcEnv::new(proc, universe, tpp))
                     })
@@ -699,6 +700,7 @@ impl Universe {
                         let proc = Arc::clone(shared.proc(r));
                         let universe = Arc::clone(shared);
                         s.spawn(move || {
+                            let _rank_thread = RankThread::enter();
                             let tpp = universe.threads_per_proc();
                             run_one(r, ProcEnv::new(proc, universe, tpp))
                         })
@@ -753,6 +755,8 @@ fn publish_engine_metrics(m: &engine::EngineMetrics) {
     reg.counter("engine.task_switches", l())
         .add(m.task_switches);
     reg.counter("engine.steps", l()).add(m.steps);
+    reg.counter("engine.locked_yields", l())
+        .add(m.locked_yields);
     reg.accum("engine.ready_queue_depth", l())
         .record(m.ready_queue_depth as u64);
     reg.accum("engine.parked", l()).record(m.parked as u64);
@@ -992,5 +996,46 @@ mod tests {
             sub.size()
         });
         assert_eq!(sizes, vec![2, 2, 2, 2]);
+    }
+
+    #[test]
+    fn oversubscribed_threads_mode_closes_the_spin_gate() {
+        // More rank threads than cores: a waiting rank must sleep at once
+        // rather than spin on a core its peer needs.
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let u = Universe::builder().nodes(cores + 1).build();
+        let gates = u.run(|env| {
+            let mut th = env.single_thread();
+            env.world().barrier(&mut th).unwrap();
+            let open = rankmpi_fabric::notify::spin_gate_open();
+            env.world().barrier(&mut th).unwrap();
+            open
+        });
+        assert!(gates.iter().all(|open| !open), "{gates:?}");
+    }
+
+    #[test]
+    fn threads_mode_receiver_sleeps_and_is_woken_by_the_send() {
+        // Rank 0 sends only once rank 1's receive has spun out its budget and
+        // gone to sleep on its process notifier (the sleep is counted), so
+        // the send's wake must reach a real condvar sleeper.
+        let u = Universe::builder().nodes(2).build();
+        let got = u.run(|env| {
+            let world = env.world();
+            let mut th = env.single_thread();
+            if env.rank() == 0 {
+                let receiver = env.universe().proc(1).notify();
+                while receiver.sleeps() == 0 {
+                    std::thread::yield_now();
+                }
+                world.send(&mut th, 1, 0, b"late").unwrap();
+                Vec::new()
+            } else {
+                world.recv(&mut th, 0, 0).unwrap().1.to_vec()
+            }
+        });
+        assert_eq!(got[1], b"late");
     }
 }

@@ -61,11 +61,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::sched::{self, SchedHook, SchedPoint};
 use crate::Nanos;
@@ -141,6 +141,10 @@ pub struct EngineMetrics {
     pub peak_tasks: usize,
     /// Total scheduling steps (yield points + parks) crossed.
     pub steps: u64,
+    /// Yield points that took the state lock: every yield under
+    /// [`Dispatch::Serialized`], and under [`Dispatch::VirtualTime`] only
+    /// those where preemption was due (the rest return lock-free).
+    pub locked_yields: u64,
 }
 
 /// What one engine run did.
@@ -243,8 +247,11 @@ struct State {
     starting: usize,
     alive: usize,
     ready_count: usize,
-    steps: u64,
+    /// Set by `make_ready`/`pop_best_ready`; tells [`StateGuard`] to
+    /// republish the least ready virtual time on unlock.
+    ready_changed: bool,
     switches: u64,
+    locked_yields: u64,
     decisions: Vec<(u32, u32)>,
     peak_ready: usize,
     peak_parked: usize,
@@ -256,6 +263,66 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     step_cap: u64,
+    /// `Some(slack)` under [`Dispatch::VirtualTime`]: a yield point compares
+    /// against `best_ready` and takes the lock only when preemption is due.
+    /// `None` under [`Dispatch::Serialized`], where every yield is a
+    /// recorded choice point and takes the lock.
+    slack: Option<u64>,
+    /// Least virtual time among ready tasks (`u64::MAX` when none),
+    /// republished under the state lock whenever the ready set changes.
+    /// Relaxed: a scheduling hint that publishes no other data; a stale
+    /// read only moves one preemption.
+    best_ready: AtomicU64,
+    /// Scheduling steps crossed (yield points + parks); atomic so yield
+    /// points count without the lock.
+    steps: AtomicU64,
+    /// Mirror of `State::abort`, stored under the state lock, so yield
+    /// points and [`aborted`] observe an abort without taking it.
+    abort: AtomicBool,
+}
+
+impl Shared {
+    fn lock(&self) -> StateGuard<'_> {
+        StateGuard {
+            st: self.state.lock(),
+            shared: self,
+        }
+    }
+}
+
+/// The state lock, held. On unlock it publishes what the lock-free yield
+/// path reads: the least ready virtual time (when the ready set changed)
+/// and the abort flag. Publishing before the unlock means any later holder
+/// of the lock sees the same values the atomics carry.
+struct StateGuard<'a> {
+    st: MutexGuard<'a, State>,
+    shared: &'a Shared,
+}
+
+impl std::ops::Deref for StateGuard<'_> {
+    type Target = State;
+    fn deref(&self) -> &State {
+        &self.st
+    }
+}
+
+impl std::ops::DerefMut for StateGuard<'_> {
+    fn deref_mut(&mut self) -> &mut State {
+        &mut self.st
+    }
+}
+
+impl Drop for StateGuard<'_> {
+    fn drop(&mut self) {
+        if self.st.ready_changed {
+            self.st.ready_changed = false;
+            let best = peek_best_vtime(&mut self.st).unwrap_or(u64::MAX);
+            self.shared.best_ready.store(best, Ordering::Relaxed);
+        }
+        if self.st.abort {
+            self.shared.abort.store(true, Ordering::Release);
+        }
+    }
 }
 
 /// True once any engine has run in this process. Blocking primitives use it
@@ -273,6 +340,8 @@ thread_local! {
     static CURRENT: RefCell<Option<(Arc<Shared>, usize)>> = const { RefCell::new(None) };
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
     static VTIME: Cell<u64> = const { Cell::new(0) };
+    /// Inside [`block_in_place`]: the engine is not tracking this task.
+    static DETACHED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn current_ctx() -> Option<(Arc<Shared>, usize)> {
@@ -312,7 +381,7 @@ pub struct Unparker {
 impl Unparker {
     /// Wake the task (move it Parked → Ready and re-dispatch).
     pub fn unpark(&self) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.lock();
         unpark_task(&mut st, self.id);
     }
 }
@@ -332,7 +401,7 @@ pub fn current_unparker() -> Option<Unparker> {
 /// deadlock, step cap). Raw-blocking loops inside [`block_in_place`] should
 /// poll this so they stop waiting for peers that will never arrive.
 pub fn aborted() -> bool {
-    current_ctx().is_some_and(|(s, _)| s.state.lock().abort)
+    current_ctx().is_some_and(|(s, _)| s.abort.load(Ordering::Acquire))
 }
 
 // ---------------------------------------------------------------------------
@@ -348,6 +417,7 @@ fn make_ready(st: &mut State, id: usize) {
         ReadyQueue::Heap(h) => h.push(key),
         ReadyQueue::List(v) => v.push(id),
     }
+    st.ready_changed = true;
     st.ready_count += 1;
     st.peak_ready = st.peak_ready.max(st.ready_count);
 }
@@ -357,6 +427,7 @@ fn pop_best_ready(st: &mut State) -> Option<usize> {
         ready,
         tasks,
         ready_count,
+        ready_changed,
         ..
     } = st;
     match ready {
@@ -365,6 +436,7 @@ fn pop_best_ready(st: &mut State) -> Option<usize> {
             let t = &tasks[id];
             if t.status == Status::Ready && t.ready_stamp == stamp {
                 *ready_count -= 1;
+                *ready_changed = true;
                 return Some(id);
             }
         },
@@ -522,7 +594,7 @@ fn cap_abort(st: &mut State, cap: u64) {
 fn wait_admitted(shared: &Shared, me: usize, throw_on_abort: bool) -> bool {
     loop {
         {
-            let st = shared.state.lock();
+            let st = shared.lock();
             if st.abort {
                 drop(st);
                 if throw_on_abort {
@@ -538,27 +610,49 @@ fn wait_admitted(shared: &Shared, me: usize, throw_on_abort: bool) -> bool {
     }
 }
 
+/// Count one scheduling step; true once the run has crossed its step cap.
+fn step_over_cap(shared: &Shared) -> bool {
+    shared.steps.fetch_add(1, Ordering::Relaxed) >= shared.step_cap
+}
+
 /// The engine's side of a yield point: maybe hand the slot to another task.
+///
+/// Under [`Dispatch::VirtualTime`] this is lock-free unless preemption is
+/// due. Every transition that readies a task or frees a slot dispatches
+/// before it unlocks, so no ready task ever waits while a slot is free, and
+/// a yield point has nothing to do unless this task runs more than `slack`
+/// ahead of the least ready virtual time — which the state lock's holders
+/// publish in `best_ready`.
 fn yield_now(shared: &Arc<Shared>, me: usize) {
-    let my_vt = VTIME.with(|v| v.get());
-    let mut st = shared.state.lock();
-    if st.abort {
-        drop(st);
+    if shared.abort.load(Ordering::Acquire) {
         std::panic::panic_any(AbortRun);
     }
-    if st.tasks[me].status != Status::Running {
+    if DETACHED.with(|d| d.get()) {
         return; // inside block_in_place: the engine is not tracking us
     }
-    st.steps += 1;
-    if st.steps > shared.step_cap {
+    if step_over_cap(shared) {
+        let mut st = shared.lock();
         cap_abort(&mut st, shared.step_cap);
         drop(st);
         std::panic::panic_any(AbortRun);
     }
+    let my_vt = VTIME.with(|v| v.get());
+    if let Some(slack) = shared.slack {
+        let best = shared.best_ready.load(Ordering::Relaxed);
+        if my_vt <= best.saturating_add(slack) {
+            return;
+        }
+    }
+    let mut st = shared.lock();
+    if st.abort {
+        drop(st);
+        std::panic::panic_any(AbortRun);
+    }
+    debug_assert_eq!(st.tasks[me].status, Status::Running);
+    st.locked_yields += 1;
     st.tasks[me].vtime = my_vt;
     match st.mode {
         ModeState::VirtualTime { workers, slack } => {
-            admit_fill(&mut st, workers);
             if let Some(best) = peek_best_vtime(&mut st) {
                 if my_vt > best.saturating_add(slack) {
                     // We are more than `slack` ahead of a ready task: hand
@@ -623,7 +717,7 @@ pub fn park(point: SchedPoint) {
         return;
     };
     let my_vt = VTIME.with(|v| v.get());
-    let mut st = shared.state.lock();
+    let mut st = shared.lock();
     if st.abort {
         drop(st);
         std::panic::panic_any(AbortRun);
@@ -635,8 +729,7 @@ pub fn park(point: SchedPoint) {
         st.tasks[me].wake_pending = false;
         return;
     }
-    st.steps += 1;
-    if st.steps > shared.step_cap {
+    if step_over_cap(&shared) {
         cap_abort(&mut st, shared.step_cap);
         drop(st);
         std::panic::panic_any(AbortRun);
@@ -662,7 +755,7 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
         return f();
     };
     {
-        let mut st = shared.state.lock();
+        let mut st = shared.lock();
         if st.abort {
             drop(st);
             std::panic::panic_any(AbortRun);
@@ -678,14 +771,16 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
         dispatch_free(&mut st);
         maybe_deadlock(&mut st);
     }
+    DETACHED.with(|d| d.set(true));
     struct Readmit<'a> {
         shared: &'a Arc<Shared>,
         me: usize,
     }
     impl Drop for Readmit<'_> {
         fn drop(&mut self) {
+            DETACHED.with(|d| d.set(false));
             {
-                let mut st = self.shared.state.lock();
+                let mut st = self.shared.lock();
                 st.detached -= 1;
                 make_ready(&mut st, self.me);
                 dispatch_free(&mut st);
@@ -702,14 +797,14 @@ pub fn block_in_place<R>(f: impl FnOnce() -> R) -> R {
         };
         f()
     };
-    if shared.state.lock().abort {
+    if shared.abort.load(Ordering::Acquire) {
         std::panic::panic_any(AbortRun);
     }
     r
 }
 
 fn finish(shared: &Shared, me: usize, panic_msg: Option<String>) {
-    let mut st = shared.state.lock();
+    let mut st = shared.lock();
     match st.tasks[me].status {
         Status::Running => st.running -= 1,
         Status::Detached => st.detached -= 1,
@@ -746,6 +841,7 @@ struct TlsGuard {
     prev: Option<(Arc<Shared>, usize)>,
     prev_in_task: bool,
     prev_vtime: u64,
+    prev_detached: bool,
 }
 
 impl TlsGuard {
@@ -753,10 +849,12 @@ impl TlsGuard {
         let prev = CURRENT.with(|c| c.borrow_mut().replace((shared, me)));
         let prev_in_task = IN_TASK.with(|t| t.replace(true));
         let prev_vtime = VTIME.with(|v| v.replace(0));
+        let prev_detached = DETACHED.with(|d| d.replace(false));
         TlsGuard {
             prev,
             prev_in_task,
             prev_vtime,
+            prev_detached,
         }
     }
 }
@@ -766,6 +864,7 @@ impl Drop for TlsGuard {
         CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
         IN_TASK.with(|t| t.set(self.prev_in_task));
         VTIME.with(|v| v.set(self.prev_vtime));
+        DETACHED.with(|d| d.set(self.prev_detached));
     }
 }
 
@@ -779,7 +878,7 @@ fn carrier_body<R>(
     f: impl FnOnce() -> R,
 ) -> Result<R, Box<dyn std::any::Any + Send>> {
     {
-        let mut st = shared.state.lock();
+        let mut st = shared.lock();
         if preallocated {
             st.starting -= 1;
         }
@@ -839,7 +938,7 @@ impl EngineHandle {
     /// a plain `join().unwrap()` surfaces them).
     pub fn run_member<R>(&self, f: impl FnOnce() -> R) -> R {
         let me = {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.lock();
             let id = st.tasks.len();
             st.tasks.push(TaskSlot::starting());
             st.alive += 1;
@@ -870,12 +969,15 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
     assert!(!tasks.is_empty(), "engine::run needs at least one task");
     EVER_ACTIVE.store(true, Ordering::Relaxed);
     let n = tasks.len();
-    let mode = match cfg.dispatch {
-        Dispatch::VirtualTime { workers, slack } => ModeState::VirtualTime {
-            workers: workers.max(1),
-            slack: slack.as_ns(),
-        },
-        Dispatch::Serialized(chooser) => ModeState::Serialized { chooser },
+    let (mode, slack) = match cfg.dispatch {
+        Dispatch::VirtualTime { workers, slack } => (
+            ModeState::VirtualTime {
+                workers: workers.max(1),
+                slack: slack.as_ns(),
+            },
+            Some(slack.as_ns()),
+        ),
+        Dispatch::Serialized(chooser) => (ModeState::Serialized { chooser }, None),
     };
     let ready = match mode {
         ModeState::VirtualTime { .. } => ReadyQueue::Heap(BinaryHeap::new()),
@@ -892,8 +994,9 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
             starting: n,
             alive: n,
             ready_count: 0,
-            steps: 0,
+            ready_changed: false,
             switches: 0,
+            locked_yields: 0,
             decisions: Vec::new(),
             peak_ready: 0,
             peak_parked: 0,
@@ -902,6 +1005,10 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
             panic: None,
         }),
         step_cap: cfg.step_cap,
+        slack,
+        best_ready: AtomicU64::new(u64::MAX),
+        steps: AtomicU64::new(0),
+        abort: AtomicBool::new(false),
     });
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
@@ -920,18 +1027,20 @@ pub fn run<'env, R: Send>(cfg: EngineConfig, tasks: Vec<TaskFn<'env, R>>) -> Out
         }
     });
     let collected = std::mem::take(&mut *results.lock());
+    let steps = shared.steps.load(Ordering::Relaxed);
     let mut st = shared.state.lock();
     let metrics = EngineMetrics {
         task_switches: st.switches,
         ready_queue_depth: st.peak_ready,
         parked: st.peak_parked,
         peak_tasks: st.peak_alive,
-        steps: st.steps,
+        steps,
+        locked_yields: st.locked_yields,
     };
     Outcome {
         results: collected,
         decisions: std::mem::take(&mut st.decisions),
-        steps: st.steps,
+        steps,
         panic: st.panic.clone(),
         metrics,
     }
@@ -1071,6 +1180,95 @@ mod tests {
         let out = run(cfg, tasks);
         let msg = out.panic.expect("step cap must abort");
         assert!(msg.contains("step cap"), "unexpected message: {msg}");
+    }
+
+    #[test]
+    fn fast_path_still_preempts_a_task_running_past_slack() {
+        // One worker, slack 100 ns, 30 ns per step: each task may run about
+        // four steps past the other before its yield point must hand over.
+        // The first task to start parks until the second arrives, so neither
+        // can finish before the other is ready.
+        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+        let gate: Arc<Mutex<(usize, Option<Unparker>)>> = Arc::new(Mutex::new((0, None)));
+        let tasks: Vec<TaskFn<'static, ()>> = (0..2)
+            .map(|id| {
+                let log = Arc::clone(&log);
+                let gate = Arc::clone(&gate);
+                Box::new(move || {
+                    let first = {
+                        let mut g = gate.lock();
+                        g.0 += 1;
+                        if g.0 == 1 {
+                            g.1 = current_unparker();
+                        }
+                        g.0 == 1
+                    };
+                    if first {
+                        while gate.lock().0 < 2 {
+                            park(SchedPoint::Custom("gate"));
+                        }
+                    } else if let Some(up) = gate.lock().1.take() {
+                        up.unpark();
+                    }
+                    let mut c = crate::Clock::new();
+                    for _ in 0..40 {
+                        log.lock().push(id);
+                        c.advance(Nanos(30));
+                    }
+                }) as TaskFn<'static, ()>
+            })
+            .collect();
+        let out = run(vt_cfg(1), tasks);
+        assert!(out.panic.is_none(), "{:?}", out.panic);
+        let log = log.lock();
+        let turns = 1 + log.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(turns >= 10, "only {turns} turns in {:?}", *log);
+        let m = out.metrics;
+        assert!(m.locked_yields > 0, "preemption must take the lock");
+        assert!(
+            m.locked_yields < m.steps / 2,
+            "yields within slack must stay lock-free: {m:?}"
+        );
+    }
+
+    fn spin_forever() {
+        let mut c = crate::Clock::new();
+        loop {
+            c.advance(Nanos(1));
+        }
+    }
+
+    #[test]
+    fn step_cap_stops_tasks_crossing_only_fast_path_yields() {
+        // Two workers, two tasks in lockstep: nothing is ever ready, so no
+        // yield point takes the lock — the cap must still fire.
+        let mut cfg = vt_cfg(2);
+        cfg.step_cap = 1_000;
+        let tasks: Vec<TaskFn<'static, ()>> = vec![Box::new(spin_forever), Box::new(spin_forever)];
+        let out = run(cfg, tasks);
+        let msg = out.panic.expect("step cap must abort");
+        assert!(msg.contains("step cap"), "unexpected message: {msg}");
+        assert_eq!(out.metrics.locked_yields, 0);
+    }
+
+    #[test]
+    fn abort_stops_a_task_crossing_only_fast_path_yields() {
+        let tasks: Vec<TaskFn<'static, ()>> = vec![
+            Box::new(spin_forever),
+            Box::new(|| {
+                let mut c = crate::Clock::new();
+                for _ in 0..100 {
+                    c.advance(Nanos(1));
+                }
+                panic!("deliberate failure beside a spinner");
+            }),
+        ];
+        let out = run(vt_cfg(2), tasks);
+        assert_eq!(
+            out.panic.as_deref(),
+            Some("deliberate failure beside a spinner")
+        );
+        assert_eq!(out.metrics.locked_yields, 0);
     }
 
     struct RoundRobin(usize);

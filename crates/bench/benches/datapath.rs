@@ -1,11 +1,11 @@
-//! Datapath ablation benchmarks: SPSC mailbox rings vs the mutex-mailbox
-//! baseline, packet-arena allocation behavior, and batched-doorbell
-//! amortization curves. Writes a machine-readable `BENCH_datapath.json`.
+//! Datapath ablation benchmarks: SPSC mailbox rings vs a mutex-mailbox
+//! baseline ([`MutexMailbox`], one lock around one queue), packet-arena
+//! allocation behavior, and batched-doorbell amortization curves. Writes a
+//! machine-readable `BENCH_datapath.json`.
 //!
 //! ## Push+drain ablation methodology
 //!
-//! The concurrent contest drives the *real* mailbox with real sender
-//! threads, under a bounded in-flight window (a real fabric's rx queue is
+//! The concurrent contest drives each mailbox with real sender threads, under a bounded in-flight window (a real fabric's rx queue is
 //! bounded; without the window the mutex baseline can park its consumer for
 //! the whole run and win on batch amortization alone, a regime no fabric
 //! permits). Two throughputs come out of one run:
@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use rankmpi_bench::json::{write_bench_json, Json};
+use rankmpi_bench::mailboxes::{MutexMailbox, PacketQueue};
 use rankmpi_bench::{print_table, ratio};
 use rankmpi_core::Universe;
 use rankmpi_fabric::{Header, Mailbox, Notify, Packet, PayloadPool};
@@ -89,23 +90,17 @@ struct OpCosts {
     drain_ns: u64,
 }
 
-/// One concurrent push+drain contest on the real mailbox: `senders` OS
+/// One concurrent push+drain contest on a `Q` mailbox: `senders` OS
 /// threads push `per_sender` packets each (one channel per sender) while a
 /// consumer thread drains until everything arrived, with notification
 /// batched every 16 pushes — the cadence of the batched injection path.
 /// Returns `(wall msgs/s, modeled msgs/s)`; the modeled number charges
 /// `costs` to per-thread virtual clocks, through a shared [`ContentionLock`]
 /// for the mutex variant (see the module docs).
-fn push_drain_contest(
-    force_locked: bool,
-    senders: u32,
-    per_sender: u64,
-    costs: OpCosts,
-) -> (f64, f64) {
-    let mb = Mailbox::new(Arc::new(Notify::new()));
-    mb.set_force_locked(force_locked);
+fn push_drain_contest<Q: PacketQueue>(senders: u32, per_sender: u64, costs: OpCosts) -> (f64, f64) {
+    let notify = Arc::new(Notify::new());
+    let mb = Q::new(Arc::clone(&notify));
     let total = senders as u64 * per_sender;
-    let notify = mb.notify_handle();
     let cost_lock: ContentionLock<()> = ContentionLock::new(());
     let pushed = AtomicU64::new(0);
     let delivered = AtomicU64::new(0);
@@ -127,14 +122,14 @@ fn push_drain_contest(
                         notify.notify();
                         std::thread::yield_now();
                     }
-                    if force_locked {
+                    if Q::LOCKED {
                         let g = cost_lock.lock(&mut clock);
                         clock.advance(Nanos(costs.push_ns));
                         g.release(&mut clock);
                     } else {
                         clock.advance(Nanos(costs.push_ns));
                     }
-                    mb.push_quiet(pkt(src, seq, Bytes::new()), None);
+                    mb.push_quiet(pkt(src, seq, Bytes::new()));
                     pushed.fetch_add(1, Ordering::Relaxed);
                     if seq % 16 == 15 {
                         notify.notify();
@@ -155,7 +150,7 @@ fn push_drain_contest(
                 buf.clear();
                 let n = mb.drain_into(&mut buf) as u64;
                 if n > 0 {
-                    if force_locked {
+                    if Q::LOCKED {
                         let g = cost_lock.lock(&mut clock);
                         clock.advance(Nanos(n * costs.drain_ns));
                         g.release(&mut clock);
@@ -178,14 +173,13 @@ fn push_drain_contest(
 }
 
 /// Median `(wall msgs/s, modeled msgs/s)` of 3 contests.
-fn push_drain_throughput(
-    force_locked: bool,
+fn push_drain_throughput<Q: PacketQueue>(
     senders: u32,
     per_sender: u64,
     costs: OpCosts,
 ) -> (f64, f64) {
     let mut runs: Vec<(f64, f64)> = (0..3)
-        .map(|_| push_drain_contest(force_locked, senders, per_sender, costs))
+        .map(|_| push_drain_contest::<Q>(senders, per_sender, costs))
         .collect();
     runs.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
     let modeled = runs[1].1;
@@ -195,16 +189,15 @@ fn push_drain_throughput(
 
 /// Single-threaded ring-resident cost: rounds of (32 pushes per channel ×
 /// 4 channels, one drain). Returns (ns per push, drain messages/sec).
-fn single_thread_costs(force_locked: bool) -> (f64, f64) {
+fn single_thread_costs<Q: PacketQueue>() -> (f64, f64) {
     const ROUNDS: u64 = 2_000;
-    let mb = Mailbox::new(Arc::new(Notify::new()));
-    mb.set_force_locked(force_locked);
+    let mb = Q::new(Arc::new(Notify::new()));
     let mut buf: Vec<Packet> = Vec::new();
     // Warmup registers the channel rings and sizes the scratch.
     for _ in 0..64 {
         for src in 0..4u32 {
             for seq in 0..32u64 {
-                mb.push_quiet(pkt(src, seq, Bytes::new()), None);
+                mb.push_quiet(pkt(src, seq, Bytes::new()));
             }
         }
         buf.clear();
@@ -216,7 +209,7 @@ fn single_thread_costs(force_locked: bool) -> (f64, f64) {
         let t0 = Instant::now();
         for src in 0..4u32 {
             for seq in 0..32u64 {
-                mb.push_quiet(pkt(src, seq, Bytes::new()), None);
+                mb.push_quiet(pkt(src, seq, Bytes::new()));
             }
         }
         push_ns += t0.elapsed().as_nanos() as f64;
@@ -231,12 +224,19 @@ fn single_thread_costs(force_locked: bool) -> (f64, f64) {
 }
 
 /// Heap allocations per message in a warmed steady state: pooled payloads
-/// through the ring mailbox vs fresh `Bytes` copies through the locked
-/// queue (the pre-arena datapath).
+/// through the ring mailbox vs fresh `Bytes` copies through the mutex
+/// mailbox (the pre-arena datapath).
 fn allocs_per_message(pooled: bool) -> f64 {
+    if pooled {
+        steady_allocs_per_message::<Mailbox>(true)
+    } else {
+        steady_allocs_per_message::<MutexMailbox>(false)
+    }
+}
+
+fn steady_allocs_per_message<Q: PacketQueue>(pooled: bool) -> f64 {
     const MSGS: u64 = 4_096;
-    let mb = Mailbox::new(Arc::new(Notify::new()));
-    mb.set_force_locked(!pooled);
+    let mb = Q::new(Arc::new(Notify::new()));
     let pool = PayloadPool::new();
     let data = vec![0x3Cu8; 256];
     let mut buf: Vec<Packet> = Vec::new();
@@ -247,7 +247,7 @@ fn allocs_per_message(pooled: bool) -> f64 {
             } else {
                 Bytes::copy_from_slice(&data)
             };
-            mb.push_quiet(pkt((seq % 4) as u32, seq, payload), None);
+            mb.push_quiet(pkt((seq % 4) as u32, seq, payload));
             if seq % 8 == 7 {
                 buf.clear();
                 mb.drain_into(&mut buf);
@@ -363,8 +363,8 @@ fn bench_datapath(_c: &mut Criterion) {
     const PER_SENDER: u64 = 100_000;
 
     // --- Calibration: single-thread per-op costs on the real datapath. ---
-    let (ring_push_ns, ring_drain_tput) = single_thread_costs(false);
-    let (mutex_push_ns, mutex_drain_tput) = single_thread_costs(true);
+    let (ring_push_ns, ring_drain_tput) = single_thread_costs::<Mailbox>();
+    let (mutex_push_ns, mutex_drain_tput) = single_thread_costs::<MutexMailbox>();
     let ring_costs = OpCosts {
         push_ns: (ring_push_ns.round() as u64).max(1),
         drain_ns: ((1e9 / ring_drain_tput).round() as u64).max(1),
@@ -375,8 +375,9 @@ fn bench_datapath(_c: &mut Criterion) {
     };
 
     // --- Ring vs mutex mailbox under concurrent senders. ---
-    let (ring_wall, ring_tput) = push_drain_throughput(false, SENDERS, PER_SENDER, ring_costs);
-    let (mutex_wall, mutex_tput) = push_drain_throughput(true, SENDERS, PER_SENDER, mutex_costs);
+    let (ring_wall, ring_tput) = push_drain_throughput::<Mailbox>(SENDERS, PER_SENDER, ring_costs);
+    let (mutex_wall, mutex_tput) =
+        push_drain_throughput::<MutexMailbox>(SENDERS, PER_SENDER, mutex_costs);
     let speedup = ring_tput / mutex_tput;
     print_table(
         "Mailbox push+drain — SPSC rings vs mutex baseline",

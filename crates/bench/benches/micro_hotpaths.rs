@@ -10,6 +10,7 @@ use std::hint::black_box;
 
 use bytes::Bytes;
 use rankmpi_bench::json::{engine_counters, write_bench_json, Json};
+use rankmpi_bench::mailboxes::{MutexMailbox, PacketQueue};
 use rankmpi_bench::{print_table, ratio};
 use rankmpi_core::costs::CoreCosts;
 use rankmpi_core::matching::{EngineKind, MatchPattern, PostedRecv, ANY_SOURCE, ANY_TAG};
@@ -202,11 +203,11 @@ fn bench_engine_ablation(_c: &mut Criterion) {
     }
 
     // Datapath ablation rows: single-thread mailbox push cost and drain rate
-    // for the SPSC-ring path vs the force-locked mutex baseline (the full
+    // for the SPSC-ring path vs the bench-local mutex baseline (the full
     // concurrent contest lives in the `datapath` bench; these rows keep the
     // hot-path summary self-contained).
-    let (ring_push_ns, ring_drain_tput) = mailbox_costs(false);
-    let (mutex_push_ns, mutex_drain_tput) = mailbox_costs(true);
+    let (ring_push_ns, ring_drain_tput) = mailbox_costs::<Mailbox>();
+    let (mutex_push_ns, mutex_drain_tput) = mailbox_costs::<MutexMailbox>();
     print_table(
         "Mailbox datapath ablation — SPSC rings vs mutex baseline (single thread)",
         &["variant", "ns/push", "drain msgs/s"],
@@ -250,29 +251,25 @@ fn bench_engine_ablation(_c: &mut Criterion) {
 
 /// Single-thread mailbox cost for one datapath variant: rounds of (32 pushes
 /// x 4 channels, one drain). Returns `(ns per push, drain msgs/sec)`.
-fn mailbox_costs(force_locked: bool) -> (f64, f64) {
+fn mailbox_costs<Q: PacketQueue>() -> (f64, f64) {
     const ROUNDS: u64 = 512;
-    let mb = Mailbox::new(std::sync::Arc::new(Notify::new()));
-    mb.set_force_locked(force_locked);
+    let mb = Q::new(std::sync::Arc::new(Notify::new()));
     let mut buf: Vec<Packet> = Vec::new();
-    let one = |mb: &Mailbox, src: u32, seq: u64| {
-        mb.push_quiet(
-            Packet {
-                header: Header {
-                    kind: 1,
-                    context_id: 1,
-                    src,
-                    dst: 0,
-                    tag: 0,
-                    seq,
-                    aux: 0,
-                    aux2: 0,
-                },
-                payload: Bytes::new(),
-                arrive_at: Nanos(seq),
+    let one = |mb: &Q, src: u32, seq: u64| {
+        mb.push_quiet(Packet {
+            header: Header {
+                kind: 1,
+                context_id: 1,
+                src,
+                dst: 0,
+                tag: 0,
+                seq,
+                aux: 0,
+                aux2: 0,
             },
-            None,
-        );
+            payload: Bytes::new(),
+            arrive_at: Nanos(seq),
+        });
     };
     for _ in 0..64 {
         for src in 0..4u32 {

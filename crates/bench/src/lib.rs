@@ -10,6 +10,7 @@
 use std::fmt::Display;
 
 pub mod json;
+pub mod mailboxes;
 
 /// Print a Markdown-style table.
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {

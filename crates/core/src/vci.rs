@@ -232,6 +232,14 @@ impl Vci {
     ) -> Arc<Self> {
         let reg = registry::global();
         let l = || labels! {"rank" => rank, "vci" => id};
+        // One ring-growth series per rank: the first VCI replaces whatever
+        // a previous universe left there, later VCIs add to it.
+        let rank_label = labels! {"rank" => rank};
+        let ring_grows = if id == 0 {
+            reg.insert_counter("mailbox.ring_grows", rank_label)
+        } else {
+            reg.counter("mailbox.ring_grows", rank_label)
+        };
         Arc::new(Vci {
             id,
             rank,
@@ -240,7 +248,7 @@ impl Vci {
             ctx: RwLock::new(nic.alloc_context()),
             nic: Arc::clone(nic),
             shm_ctx: shm_nic.alloc_context(),
-            mailbox: Arc::new(Mailbox::new(notify)),
+            mailbox: Arc::new(Mailbox::with_grow_counter(notify, ring_grows)),
             engine: ContentionLock::new(engine_kind.new_engine()),
             engine_time: rankmpi_vtime::Resource::new(),
             direct,
@@ -1437,5 +1445,48 @@ mod tests {
             );
             assert_eq!(rv, Some(r));
         }
+    }
+
+    #[test]
+    fn ring_growths_reach_the_per_rank_registry_series() {
+        // Two VCIs of one rank share one `mailbox.ring_grows{rank}` series;
+        // a burst one past a lane's first ring grows it once per mailbox.
+        const RANK: usize = 8_888;
+        let nic = Arc::new(Nic::new(0, NetworkProfile::omni_path()));
+        let shm = Arc::new(Nic::new(0, NetworkProfile::ideal()));
+        let vcis: Vec<Arc<Vci>> = (0..2)
+            .map(|id| {
+                Vci::new(
+                    id,
+                    RANK,
+                    &nic,
+                    &shm,
+                    Arc::new(Notify::new()),
+                    CoreCosts::default(),
+                    Arc::new(DirectRegistry::new()),
+                    EngineKind::default(),
+                    FtShared::solo(),
+                )
+            })
+            .collect();
+        for v in &vcis {
+            for seq in 0..=Mailbox::ring_capacity() as u64 {
+                v.mailbox().push_quiet(
+                    Packet {
+                        header: header(1, 0, 0),
+                        payload: Bytes::new(),
+                        arrive_at: Nanos(seq),
+                    },
+                    None,
+                );
+            }
+            assert_eq!(v.mailbox().ring_spills(), 1);
+        }
+        let grows = registry::global()
+            .snapshot_prefix("mailbox.ring_grows")
+            .into_iter()
+            .find(|s| s.labels.get("rank").map(String::as_str) == Some("8888"))
+            .map(|s| s.value);
+        assert_eq!(grows, Some(registry::Value::Count(2)));
     }
 }

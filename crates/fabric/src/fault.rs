@@ -1,11 +1,15 @@
 //! Deterministic packet-level fault injection for the simulated fabric.
 //!
-//! A [`FaultPlan`] armed on a [`Mailbox`](crate::Mailbox) perturbs arriving
-//! packets the way a lossy-but-reliable transport would: extra latency,
-//! transient NACK/retransmit rounds, duplicate deliveries (deduplicated
-//! before they reach the matching engine, as a reliable transport must), and
-//! cross-channel reordering of the real delivery queue. The perturbations
-//! stay inside MPI's transport contract:
+//! A [`FaultPlan`] armed on a [`Mailbox`](crate::Mailbox) (before its first
+//! push) perturbs arriving packets the way a lossy-but-reliable transport
+//! would: extra latency, transient NACK/retransmit rounds, duplicate
+//! deliveries (deduplicated before they reach the matching engine, as a
+//! reliable transport must), and cross-channel reordering of the real
+//! delivery order. Latency and duplicates are applied in the channel's lane
+//! as the packet is pushed; reorders happen at drain, where a marked packet
+//! swaps with the preceding packet of the ticket-merged batch when that one
+//! belongs to another channel. The perturbations stay inside MPI's
+//! transport contract:
 //!
 //! - **per-channel FIFO survives**: within one `(context_id, src)` channel,
 //!   virtual arrival times remain monotone (delays propagate head-of-line,
@@ -57,8 +61,9 @@ pub struct FaultPlan {
     pub nack_prob: f64,
     /// Extra virtual latency of one NACK/retransmit round.
     pub nack_delay: Nanos,
-    /// Probability a packet is reordered past the previously queued packet
-    /// (applied only across different `(context_id, src)` channels).
+    /// Probability a packet is reordered past the packet preceding it in
+    /// its drain batch (applied only across different `(context_id, src)`
+    /// channels).
     pub reorder_prob: f64,
     /// Probability any single transmission attempt is dropped on the wire
     /// (lossy: requires the [`resil`](crate::resil) retransmit layer).
@@ -175,7 +180,7 @@ impl FaultPlan {
         self
     }
 
-    /// Enable cross-channel reordering of the real delivery queue with
+    /// Enable cross-channel reordering of the real delivery order with
     /// probability `prob`.
     pub fn reorders(mut self, prob: f64) -> Self {
         self.reorder_prob = prob;

@@ -1,98 +1,74 @@
 //! Destination-side packet queues; every deposit signals the mailbox's [`Notify`].
 //!
-//! The unfaulted datapath is lock-free: each `(context_id, src)` channel owns
-//! a bounded [`SpscRing`] (the sender holds its context gate across
-//! stamp+push, making the channel single-producer; the owning VCI's progress
-//! engine — serialized by the engine lock — is the single consumer), and a
-//! global ticket counter linearizes pushes so the drain-side merge preserves
-//! the mutex mailbox's cross-channel push order exactly. Channels are found
-//! through a fixed open-addressed [`ChannelDir`] whose lookups are pure
-//! atomic loads — the push hot path performs exactly one shared
-//! read-modify-write (the ticket) and otherwise touches only channel-local
-//! state. Drains pop the rings without any lock and visit the fallback mutex
-//! only when the fallback actually holds entries (see [`Mailbox::drain_into`]
-//! for the two-pass ordering argument). A [`FaultPlan`] switches the mailbox
-//! to the locked fallback queue, where the fault pipeline
-//! (delay/reorder/duplicate/dedup watermarks) runs unchanged.
+//! Every push takes one route: its `(context_id, src)` channel's lane, an
+//! unbounded [`GrowRing`] with a single producer and a single consumer.
+//!
+//! - **Producer.** A push holds the lane's producer claim from its ticket to
+//!   its last ring store. The sender's context gate already makes a channel
+//!   single-producer; the claim keeps that true when a VCI policy maps two
+//!   source threads onto one channel — the second waits for the first.
+//!   Nothing inside the claim yields or blocks.
+//! - **Consumer.** The owning VCI's progress engine drains. The drain lock
+//!   serializes drainers, so each ring has one consumer.
+//! - **Order.** A mailbox-global ticket, taken under the claim, stamps each
+//!   push. The drain pops every lane and merges the batch by ticket, which
+//!   reproduces the single-queue push order: per-channel FIFO and
+//!   cross-channel order both hold.
+//! - **Directory.** Lanes are found through an open-addressed
+//!   [`ChannelDir`] whose lookups are atomic loads. It doubles under its
+//!   insert lock when it would pass 3/4 full, so any number of channels get
+//!   lanes.
+//! - **Full rings.** A full ring grows (the producer links a successor of
+//!   twice the capacity) instead of spilling anywhere. Lanes therefore start
+//!   small. Growths are the one slow path; they are counted per lane
+//!   ([`Mailbox::ring_spills`]) and in the registry (`mailbox.ring_grows`).
+//!
+//! A [`FaultPlan`] armed before the first push runs inside the same route:
+//! each lane applies the plan's hash-derived delays and duplicates under its
+//! claim, keeps its own head-of-line floor and dedup watermark, and the
+//! drain performs cross-channel reorders on the merged batch (see
+//! [`fault`](crate::fault) for the invariants that survive).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use rankmpi_obs::trace as obs;
 use rankmpi_vtime::sched::{self, SchedPoint};
-use rankmpi_vtime::Nanos;
+use rankmpi_vtime::{Counter, Nanos};
 
 use crate::fault::{FaultCounters, FaultPlan, FaultReport};
 use crate::notify::Notify;
 use crate::resil::{Resil, ResilConfig};
-use crate::spsc::SpscRing;
+use crate::spsc::GrowRing;
 use crate::Packet;
 
-/// Per-channel ring capacity (entries). Bursts beyond it spill to the locked
-/// fallback queue — ordering survives via tickets, only the lock-freedom of
-/// the overflowing pushes is lost. Sized so a burst-y producer can run a full
-/// batch window ahead of a briefly descheduled consumer without spilling.
-const RING_CAPACITY: usize = 128;
+/// Entries in a lane's first ring. Small, because a full ring grows: a
+/// lane costs about 2 KB until a burst on it outgrows that.
+const RING_CAPACITY: usize = 16;
 
-/// Slots in the open-addressed channel directory. Never resized: lookups are
-/// pure atomic loads and probe chains end at a null slot, which requires the
-/// table to never fill — hence the lower [`DIR_MAX_CHANNELS`] insert cap.
-const DIR_SLOTS: usize = 128;
+/// Slots in a fresh channel directory (a power of two). The table doubles
+/// whenever registering one more lane would take it past 3/4 full.
+const DIR_INITIAL_SLOTS: usize = 16;
 
-/// Most channels that may register rings (load factor 3/4 keeps probes
-/// short, and bounds per-mailbox ring memory). Later channels simply use the
-/// ticketed locked fallback — correct, just not lock-free.
-const DIR_MAX_CHANNELS: usize = 96;
+/// Spins on a busy producer claim between OS yields. A claim covers only a
+/// few non-blocking stores, so it frees within a push's time unless its
+/// holder's thread was descheduled — then yielding lets it run.
+const CLAIM_SPINS: u32 = 64;
 
-/// Bounded backpressure on a full ring, before spilling: spin-retries (the
-/// consumer may free a slot within nanoseconds on another core), then
-/// OS-yield retries (on an oversubscribed machine the consumer needs our
-/// timeslice to drain at all). Bounded so a push can never block on a
-/// consumer that isn't coming — after the budget it spills exactly as
-/// before, and the lane's `saturated` latch makes every following push on a
-/// still-undrained channel skip straight to the spill.
-const FULL_RING_SPINS: usize = 64;
-const FULL_RING_YIELDS: usize = 32;
-
-/// Per-`(context_id, src)` channel bookkeeping of a faulted mailbox.
-///
-/// The dedup filter is a *watermark*, not a set: the mailbox assigns each
-/// original packet a push-order receive sequence number (`next_push`), copies
-/// share their original's number, and drain delivers a packet iff its number
-/// equals `next_deliver` (then advances it). Because per-channel queue order
-/// equals push order (reorder faults only swap across channels), every
-/// original hits its watermark exactly and every copy lands strictly below
-/// it. `next_deliver` is exactly the channel's cumulative-ack watermark, so
-/// dedup memory is O(channels), flat no matter how many duplicates a run
-/// injects — the ack-based GC the reliability protocol requires.
-#[derive(Debug, Default)]
-struct ChanState {
-    /// Latest faulted arrival: keeps virtual arrival monotone within the
-    /// channel (head-of-line delay propagation).
-    floor: Nanos,
-    /// Next receive sequence number to assign at push.
-    next_push: u64,
-    /// Delivery watermark: everything below has been delivered (acked);
-    /// a queued entry below it is a duplicate copy and is dropped.
-    next_deliver: u64,
-}
-
-/// Fault-injection state of one armed mailbox (see [`FaultPlan`]).
+/// A mailbox's armed fault plan and its counters, shared by its lanes.
 #[derive(Debug)]
-struct FaultState {
+struct Faults {
     plan: FaultPlan,
-    channels: HashMap<(u32, u32), ChanState>,
     counters: FaultCounters,
 }
 
 /// One queued packet plus the bookkeeping it was pushed with.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     /// Mailbox-global push ticket: the linearization point of the push. The
-    /// unfaulted drain merges ring and fallback entries by ticket, which
-    /// reconstructs the single-queue push order of the old mutex mailbox.
+    /// drain merges lanes by ticket, which reconstructs single-queue push
+    /// order.
     ticket: u64,
     /// Push-order receive sequence on the packet's channel (0 when no fault
     /// plan is armed — the watermark filter is bypassed entirely then).
@@ -100,181 +76,384 @@ struct Entry {
     /// Whether this is a spurious retransmit copy from the `resil` layer
     /// (counted separately from injected duplicate-fault copies).
     spurious: bool,
+    /// Whether the fault plan reorders this packet past the preceding entry
+    /// of the drain batch (see [`FaultPlan::reorders`]).
+    reorder: bool,
     p: Packet,
 }
 
-#[derive(Debug)]
-struct Inner {
-    q: Vec<Entry>,
-    faults: Option<FaultState>,
+impl Entry {
+    fn new(ticket: u64, rseq: u64, p: Packet) -> Self {
+        Entry {
+            ticket,
+            rseq,
+            spurious: false,
+            reorder: false,
+            p,
+        }
+    }
+
+    fn channel(&self) -> (u32, u32) {
+        (self.p.header.context_id, self.p.header.src)
+    }
 }
 
-/// One channel's lock-free lane: the SPSC ring plus its producer claim and
-/// producer-local counters.
+/// Add one to a counter only the claim holder writes: a plain load and
+/// store, no read-modify-write.
+fn bump(c: &AtomicU64) {
+    c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
+/// One channel's lane: its growable ring, producer claim and counters, and
+/// — when a fault plan is armed — its fault state.
 ///
-/// The claim makes the single-producer assumption *unconditional*: the
-/// context gate already serializes the common case, but a VCI policy may map
-/// two source threads (distinct gates) onto one `(context_id, src)` channel —
-/// the loser of the CAS simply takes the ticketed locked fallback.
+/// The fault state follows the plan's per-channel contract. The dedup
+/// filter is a *watermark*, not a set: each original packet gets a
+/// push-order receive sequence number (`next_push`), copies share their
+/// original's number, and the drain delivers an entry iff its number equals
+/// `next_deliver` (then advances it). Ring order is push order, so every
+/// original hits the watermark exactly and every copy lands strictly below
+/// it. Dedup memory is one watermark per channel, flat no matter how many
+/// duplicates a run injects.
 #[derive(Debug)]
 struct ChannelLane {
     key: (u32, u32),
+    /// The mailbox's plan, copied in when the lane registers.
+    faults: Option<Arc<Faults>>,
+    prod: CacheLine<LaneProducer>,
+    /// Delivery watermark: everything below has been delivered; a popped
+    /// entry below it is a copy and is dropped. Drain lock holder only.
+    next_deliver: AtomicU64,
+    ring: GrowRing<Entry>,
+}
+
+/// A value on a cacheline of its own, so writes to it never invalidate a
+/// neighbour another core is reading.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct CacheLine<T>(T);
+
+impl<T> std::ops::Deref for CacheLine<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// The lane state every push writes (kept on its own cacheline, so the
+/// consumer's reads of the lane never contend with it).
+#[derive(Debug, Default)]
+struct LaneProducer {
     claim: AtomicBool,
-    /// Set when a push exhausted the full-ring backpressure budget and
-    /// spilled; cleared by the next successful ring push. While set, pushes
-    /// skip the budget and spill immediately — a channel whose consumer
-    /// isn't draining pays the wait once per saturation episode, not once
-    /// per push.
-    saturated: AtomicBool,
-    /// Pushes that landed in this lane's ring. Kept per-lane (summed by
+    /// Pushes that fit the ring as it was. Kept per lane (summed by
     /// [`Mailbox::ring_pushes`]) so the hot path never writes a cacheline
     /// shared with other channels' producers.
     pushes: AtomicU64,
-    /// Ring-path pushes on this lane that fell back to the locked queue
-    /// (full ring or lost producer claim).
-    spills: AtomicU64,
-    ring: SpscRing<Entry>,
+    /// Pushes that grew the ring.
+    grows: AtomicU64,
+    /// Latest faulted arrival, ns: keeps virtual arrival monotone within
+    /// the channel (head-of-line delay propagation).
+    floor: AtomicU64,
+    /// Next receive sequence number to assign at push.
+    next_push: AtomicU64,
 }
 
-/// Lock-free channel directory: a fixed open-addressed table of lanes.
-///
-/// Lookups — the per-push hot path — are pure atomic loads: probe linearly
-/// from the key's hash until the key or a null slot. Inserts (once per
-/// channel, ever) serialize on a mutex and publish the fully-initialized
-/// lane with release stores, so a racing lookup either finds it or misses
-/// and retries under the insert lock. Lanes are never removed before the
-/// directory drops, which is what makes handing out `&ChannelLane` borrows
-/// sound. A dense side array (`active`) gives drains and emptiness scans
-/// exactly the registered lanes, in registration order, without walking the
-/// sparse table.
-struct ChannelDir {
+impl ChannelLane {
+    fn new(key: (u32, u32), faults: Option<Arc<Faults>>) -> Self {
+        ChannelLane {
+            key,
+            faults,
+            prod: CacheLine::default(),
+            next_deliver: AtomicU64::new(0),
+            ring: GrowRing::with_capacity(RING_CAPACITY),
+        }
+    }
+
+    /// Take the producer claim, waiting out a concurrent producer.
+    fn claim(&self) {
+        let mut spins = 0;
+        while self
+            .prod
+            .claim
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            spins += 1;
+            if spins % CLAIM_SPINS == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    fn release(&self) {
+        self.prod.claim.store(false, Ordering::Release);
+    }
+
+    /// Apply the fault plan to one push and queue the result: the packet,
+    /// an injected duplicate, and the `resil` layer's spurious copy. The
+    /// caller holds the claim. Returns whether the ring grew.
+    fn push_faulted(
+        &self,
+        f: &Faults,
+        ticket: u64,
+        mut p: Packet,
+        spurious: Option<Packet>,
+    ) -> bool {
+        let (src, seq) = (p.header.src, p.header.seq);
+        let plan = &f.plan;
+        // Poisoned packets are synthetic failure notifications: they bypass
+        // fault perturbation (their timing is the protocol's give-up time)
+        // but still take a dedup slot and respect the channel floor.
+        let perturb = !p.header.is_poisoned();
+        if perturb {
+            // Transient NACK: one retransmit round's worth of extra latency.
+            if plan.nack_prob > 0.0 && plan.unit(src, seq, 1) < plan.nack_prob {
+                let before = p.arrive_at;
+                p.arrive_at += plan.nack_delay;
+                f.counters.bump_nack(plan.nack_delay.as_ns());
+                obs::busy("fault", "nack", before, p.arrive_at, obs::ResId::NONE);
+            }
+            // Plain delay: uniform extra latency in [1, delay_max].
+            if plan.delay_prob > 0.0 && plan.unit(src, seq, 2) < plan.delay_prob {
+                let span = plan.delay_max.as_ns().max(1);
+                let extra = 1 + (plan.unit(src, seq, 3) * span as f64) as u64;
+                let before = p.arrive_at;
+                p.arrive_at += Nanos(extra.min(span));
+                f.counters.bump_delay(p.arrive_at.as_ns() - before.as_ns());
+                obs::busy("fault", "delay", before, p.arrive_at, obs::ResId::NONE);
+            }
+            // Heavy-tail straggler: Pareto extra latency on a few packets —
+            // applied before the channel clamp so per-channel FIFO survives.
+            if let Some(extra) = plan.straggle_ns(src, seq) {
+                let before = p.arrive_at;
+                p.arrive_at += Nanos(extra);
+                f.counters.bump_straggle(extra);
+                obs::busy("fault", "straggler", before, p.arrive_at, obs::ResId::NONE);
+            }
+        }
+        // Head-of-line clamp: a channel's arrivals stay monotone in virtual
+        // time even when an earlier packet was delayed past this one.
+        let (floor, next_push) = (&self.prod.floor, &self.prod.next_push);
+        p.arrive_at = p.arrive_at.max(Nanos(floor.load(Ordering::Relaxed)));
+        floor.store(p.arrive_at.as_ns(), Ordering::Relaxed);
+        let rseq = next_push.load(Ordering::Relaxed);
+        next_push.store(rseq + 1, Ordering::Relaxed);
+
+        let duplicate =
+            perturb && plan.duplicate_prob > 0.0 && plan.unit(src, seq, 4) < plan.duplicate_prob;
+        let copy = duplicate.then(|| p.clone());
+        let mut entry = Entry::new(ticket, rseq, p);
+        entry.reorder =
+            perturb && plan.reorder_prob > 0.0 && plan.unit(src, seq, 5) < plan.reorder_prob;
+        let mut grew = self.ring.push(entry);
+        // Copies share their original's ticket and dedup sequence: they
+        // land below the watermark at drain and are dropped there.
+        if let Some(c) = copy {
+            f.counters.bump_dup_injected();
+            obs::busy(
+                "fault",
+                "duplicate",
+                c.arrive_at,
+                c.arrive_at,
+                obs::ResId::NONE,
+            );
+            grew |= self.ring.push(Entry::new(ticket, rseq, c));
+        }
+        if let Some(sp) = spurious {
+            let mut e = Entry::new(ticket, rseq, sp);
+            e.spurious = true;
+            grew |= self.ring.push(e);
+        }
+        grew
+    }
+
+    /// Watermark dedup over this lane's freshly popped entries
+    /// (`batch[start..]`, in push order): keep each original, drop and
+    /// count each copy. Drain lock holder only.
+    fn dedup(&self, f: &Faults, batch: &mut Vec<Entry>, start: usize) {
+        let mut next = self.next_deliver.load(Ordering::Relaxed);
+        let mut kept = start;
+        for i in start..batch.len() {
+            let (rseq, spurious) = (batch[i].rseq, batch[i].spurious);
+            if rseq == next {
+                next += 1;
+                batch.swap(kept, i);
+                kept += 1;
+            } else {
+                debug_assert!(rseq < next, "queued entry above the channel watermark");
+                if spurious {
+                    f.counters.bump_spurious_dropped();
+                } else {
+                    f.counters.bump_dup_dropped();
+                }
+            }
+        }
+        batch.truncate(kept);
+        self.next_deliver.store(next, Ordering::Relaxed);
+    }
+}
+
+/// One generation of the channel directory: an open-addressed table of
+/// lane pointers plus a dense list of the same lanes in registration order
+/// (what drains and emptiness scans walk). The dense list holds at most
+/// 3/4 of the slot count, so probe chains always end at a null slot.
+struct Table {
     slots: Box<[AtomicPtr<ChannelLane>]>,
-    active: Box<[AtomicPtr<ChannelLane>]>,
-    active_len: AtomicUsize,
-    insert: Mutex<()>,
+    lanes: Box<[AtomicPtr<ChannelLane>]>,
+    len: AtomicUsize,
 }
 
-impl ChannelDir {
-    fn new() -> Self {
+impl Table {
+    fn with_slots(n: usize) -> Self {
         let nulls = |n: usize| {
             (0..n)
                 .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice()
         };
-        ChannelDir {
-            slots: nulls(DIR_SLOTS),
-            active: nulls(DIR_MAX_CHANNELS),
-            active_len: AtomicUsize::new(0),
-            insert: Mutex::new(()),
+        Table {
+            slots: nulls(n),
+            lanes: nulls(n / 4 * 3),
+            len: AtomicUsize::new(0),
         }
     }
 
-    fn slot_of(key: (u32, u32)) -> usize {
+    fn slot_of(&self, key: (u32, u32)) -> usize {
         let h = key.0.wrapping_mul(0x9E37_79B1) ^ key.1.wrapping_mul(0x85EB_CA77);
-        h as usize & (DIR_SLOTS - 1)
+        h as usize & (self.slots.len() - 1)
     }
 
-    /// Find `key`'s lane with loads only; `None` means "not registered".
-    /// Probes terminate because the insert cap keeps the table under-full
-    /// and lanes are never removed.
-    fn lookup(&self, key: (u32, u32)) -> Option<&ChannelLane> {
-        let mut i = Self::slot_of(key);
+    /// Register `lane` under `key`, publishing it with release stores; false
+    /// when the dense list is full. Insert lock holder only.
+    fn try_insert(&self, key: (u32, u32), lane: *mut ChannelLane) -> bool {
+        let len = self.len.load(Ordering::Relaxed);
+        if len == self.lanes.len() {
+            return false;
+        }
+        let mut i = self.slot_of(key);
+        while !self.slots[i].load(Ordering::Relaxed).is_null() {
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        self.slots[i].store(lane, Ordering::Release);
+        self.lanes[len].store(lane, Ordering::Release);
+        self.len.store(len + 1, Ordering::Release);
+        true
+    }
+}
+
+/// What the directory's insert lock guards: ownership of every lane and
+/// every table generation (all freed only when the mailbox drops, which is
+/// what makes handing out `&ChannelLane` and `&Table` borrows sound), and
+/// the fault plan new lanes copy.
+struct Owned {
+    tables: Vec<Arc<Table>>,
+    lanes: Vec<Arc<ChannelLane>>,
+    faults: Option<Arc<Faults>>,
+}
+
+/// Lock-free channel directory.
+///
+/// Lookups — the per-push hot path — are atomic loads: load the current
+/// table, probe linearly from the key's hash until the key or a null slot.
+/// Inserts (once per channel, ever) serialize on the insert lock. A table
+/// with room publishes the new lane with release stores; a full one is
+/// replaced by one of twice the slots holding every lane, published with a
+/// single release store of `current`. A lookup racing an insert either
+/// finds the lane or misses and retries under the insert lock; a lookup on
+/// a superseded table is still sound, because tables are never freed early.
+struct ChannelDir {
+    current: AtomicPtr<Table>,
+    owned: Mutex<Owned>,
+}
+
+impl ChannelDir {
+    fn new() -> Self {
+        let table = Arc::new(Table::with_slots(DIR_INITIAL_SLOTS));
+        ChannelDir {
+            current: AtomicPtr::new(Arc::as_ptr(&table) as *mut Table),
+            owned: Mutex::new(Owned {
+                tables: vec![table],
+                lanes: Vec::new(),
+                faults: None,
+            }),
+        }
+    }
+
+    fn table(&self) -> &Table {
+        // Safety: `current` always points at a table held by `owned.tables`,
+        // which keeps every generation alive until the directory drops.
+        unsafe { &*self.current.load(Ordering::Acquire) }
+    }
+
+    fn lane(&self, p: *mut ChannelLane) -> &ChannelLane {
+        // Safety: only pointers to lanes held by `owned.lanes` are ever
+        // published, and those lanes live until the directory drops.
+        unsafe { &*p }
+    }
+
+    /// Find `key`'s lane in `table` with loads only.
+    fn lookup<'a>(&'a self, table: &'a Table, key: (u32, u32)) -> Option<&'a ChannelLane> {
+        let mut i = table.slot_of(key);
         loop {
-            let p = self.slots[i].load(Ordering::Acquire);
+            let p = table.slots[i].load(Ordering::Acquire);
             if p.is_null() {
                 return None;
             }
-            // Safety: a published lane lives until the directory drops.
-            let lane = unsafe { &*p };
+            let lane = self.lane(p);
             if lane.key == key {
                 return Some(lane);
             }
-            i = (i + 1) & (DIR_SLOTS - 1);
+            i = (i + 1) & (table.slots.len() - 1);
         }
     }
 
-    /// [`lookup`](Self::lookup), inserting on miss. `None` only when the
-    /// directory is at capacity — that channel then lives on the locked
-    /// fallback for the mailbox's lifetime.
-    fn get_or_insert(&self, key: (u32, u32)) -> Option<&ChannelLane> {
-        if let Some(lane) = self.lookup(key) {
-            return Some(lane);
+    /// `key`'s lane, registering it on first use.
+    fn get_or_insert(&self, key: (u32, u32)) -> &ChannelLane {
+        if let Some(lane) = self.lookup(self.table(), key) {
+            return lane;
         }
-        let _g = self.insert.lock();
-        if let Some(lane) = self.lookup(key) {
-            return Some(lane);
+        let mut owned = self.owned.lock();
+        let table = self.table();
+        if let Some(lane) = self.lookup(table, key) {
+            return lane;
         }
-        let len = self.active_len.load(Ordering::Relaxed);
-        if len == self.active.len() {
-            return None;
+        let lane = Arc::new(ChannelLane::new(key, owned.faults.clone()));
+        let p = Arc::as_ptr(&lane) as *mut ChannelLane;
+        owned.lanes.push(lane);
+        if !table.try_insert(key, p) {
+            let bigger = Arc::new(Table::with_slots(2 * table.slots.len()));
+            for l in &owned.lanes {
+                let inserted = bigger.try_insert(l.key, Arc::as_ptr(l) as *mut ChannelLane);
+                assert!(inserted, "a doubled table holds every lane");
+            }
+            self.current
+                .store(Arc::as_ptr(&bigger) as *mut Table, Ordering::Release);
+            owned.tables.push(bigger);
         }
-        let lane = Box::into_raw(Box::new(ChannelLane {
-            key,
-            claim: AtomicBool::new(false),
-            saturated: AtomicBool::new(false),
-            pushes: AtomicU64::new(0),
-            spills: AtomicU64::new(0),
-            ring: SpscRing::with_capacity(RING_CAPACITY),
-        }));
-        let mut i = Self::slot_of(key);
-        while !self.slots[i].load(Ordering::Relaxed).is_null() {
-            i = (i + 1) & (DIR_SLOTS - 1);
-        }
-        self.slots[i].store(lane, Ordering::Release);
-        self.active[len].store(lane, Ordering::Release);
-        self.active_len.store(len + 1, Ordering::Release);
-        // Safety: as in `lookup` — the lane lives until the directory drops.
-        Some(unsafe { &*lane })
+        self.lane(p)
     }
 
     /// Registered lanes, in registration order.
     fn lanes(&self) -> impl Iterator<Item = &ChannelLane> {
-        let n = self.active_len.load(Ordering::Acquire);
-        self.active[..n].iter().map(|p| {
-            // Safety: `active_len`'s release store ordered the lane pointer
-            // store before it, and lanes live until the directory drops.
-            unsafe { &*p.load(Ordering::Acquire) }
-        })
-    }
-
-    /// Pop every published ring entry into `out` (consumer side: the caller
-    /// must hold the mailbox's drain serialization).
-    fn pop_all(&self, out: &mut Vec<Entry>) {
-        for lane in self.lanes() {
-            lane.ring.pop_all_into(out);
-        }
-    }
-
-    /// Whether every registered ring is empty (loads only, any thread).
-    fn rings_empty(&self) -> bool {
-        self.lanes().all(|l| l.ring.is_empty())
-    }
-
-    /// Total entries across registered rings (racy; exact when quiescent).
-    fn rings_len(&self) -> usize {
-        self.lanes().map(|l| l.ring.len()).sum()
-    }
-}
-
-impl Drop for ChannelDir {
-    fn drop(&mut self) {
-        for s in self.slots.iter() {
-            let p = s.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // Safety: `slots` owns its lanes; each appears exactly once.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
+        let table = self.table();
+        let n = table.len.load(Ordering::Acquire);
+        table.lanes[..n]
+            .iter()
+            .map(|p| self.lane(p.load(Ordering::Acquire)))
     }
 }
 
 impl std::fmt::Debug for ChannelDir {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let t = self.table();
         write!(
             f,
-            "ChannelDir({} lanes)",
-            self.active_len.load(Ordering::Relaxed)
+            "ChannelDir({} lanes, {} slots)",
+            t.len.load(Ordering::Relaxed),
+            t.slots.len()
         )
     }
 }
@@ -288,34 +467,21 @@ impl std::fmt::Debug for ChannelDir {
 /// deliveries (see [`fault`](crate::fault) for the invariants that survive).
 #[derive(Debug)]
 pub struct Mailbox {
-    /// Locked fallback: the faulted pipeline, ring spills, and producer-claim
-    /// losers. Empty on the steady-state unfaulted path.
-    inner: Mutex<Inner>,
-    /// Lazily-registered per-channel ring lanes (a channel appears the first
+    /// Lazily-registered per-channel lanes (a channel appears the first
     /// time a packet is pushed on it).
     dir: ChannelDir,
     /// Global push-order tickets (see [`Entry::ticket`]) — the one shared
-    /// read-modify-write on the push hot path.
-    ticket: AtomicU64,
-    /// Undrained entries in the locked fallback queue only (ring occupancy
-    /// is read straight off the ring indices). Lets `is_empty` and
-    /// `drain_into` skip the fallback mutex whenever it is empty — the
-    /// steady state.
-    fallback_pending: AtomicUsize,
-    /// Whether a fault plan is armed: all pushes take the locked pipeline.
-    faulted: AtomicBool,
-    /// Ablation knob: route pushes through the locked queue *without* fault
-    /// perturbation — the in-tree mutex-mailbox baseline for benchmarks.
-    force_locked: AtomicBool,
+    /// read-modify-write on the push hot path, on a cacheline of its own.
+    ticket: CacheLine<AtomicU64>,
     /// Drain serialization + reusable merge scratch. VCIs already serialize
     /// drains on the engine lock; this keeps `drain_into` safe for arbitrary
-    /// callers and recycles the batch buffer (no per-drain allocation). It is
-    /// also the ring-consumer claim: anything popping rings (drains, the
-    /// `arm_faults` straggler migration) holds it.
-    drain_scratch: Mutex<Vec<Entry>>,
-    /// Pushes that wanted a ring but found the directory at capacity
-    /// (per-lane spill counters cover the full-ring and lost-claim cases).
-    dir_overflow: AtomicU64,
+    /// callers, makes each ring single-consumer, and recycles the batch
+    /// buffer (no per-drain allocation). Written by every drain, so it too
+    /// gets its own cacheline.
+    drain_scratch: CacheLine<Mutex<Vec<Entry>>>,
+    /// Ring growths across all lanes (the registry's `mailbox.ring_grows`
+    /// when built by a VCI).
+    grows: Arc<Counter>,
     notify: Arc<Notify>,
     /// Reliability layer, armed alongside a lossy fault plan (see
     /// [`resil`](crate::resil)). Read-mostly: armed at most once per plan, and
@@ -329,18 +495,17 @@ pub struct Mailbox {
 impl Mailbox {
     /// A mailbox that signals `notify` on every deposit.
     pub fn new(notify: Arc<Notify>) -> Self {
+        Self::with_grow_counter(notify, Arc::new(Counter::new()))
+    }
+
+    /// [`new`](Self::new), counting ring growths into `grows` as well as
+    /// per lane — how a VCI reports them to the registry.
+    pub fn with_grow_counter(notify: Arc<Notify>, grows: Arc<Counter>) -> Self {
         Mailbox {
-            inner: Mutex::new(Inner {
-                q: Vec::new(),
-                faults: None,
-            }),
             dir: ChannelDir::new(),
-            ticket: AtomicU64::new(0),
-            fallback_pending: AtomicUsize::new(0),
-            faulted: AtomicBool::new(false),
-            force_locked: AtomicBool::new(false),
-            drain_scratch: Mutex::new(Vec::new()),
-            dir_overflow: AtomicU64::new(0),
+            ticket: CacheLine(AtomicU64::new(0)),
+            drain_scratch: CacheLine(Mutex::new(Vec::new())),
+            grows,
             notify,
             resil_armed: AtomicBool::new(false),
             resil: RwLock::new(None),
@@ -351,42 +516,28 @@ impl Mailbox {
     /// fault class enabled disarms instead. A plan with a lossy class (drops
     /// or flaps) also arms the [`Resil`] retransmit layer — without it a
     /// lossy plan would violate MPI's no-loss contract.
+    ///
+    /// Arming is part of construction: each lane copies the plan when its
+    /// channel registers.
+    ///
+    /// # Panics
+    ///
+    /// If a packet was already pushed.
     pub fn arm_faults(&self, plan: FaultPlan) {
+        let mut owned = self.dir.owned.lock();
+        assert!(
+            owned.lanes.is_empty(),
+            "fault plans must be armed before the mailbox's first push"
+        );
         let armed_resil = plan.any_lossy();
         *self.resil.write() = armed_resil.then(|| Resil::new(plan.clone(), ResilConfig::default()));
         self.resil_armed.store(armed_resil, Ordering::Release);
-        let enabled = plan.any_enabled();
-        // The scratch lock is the ring-consumer claim: holding it keeps the
-        // straggler migration below from racing a concurrent drain's pops.
-        let mut scratch = self.drain_scratch.lock();
-        let mut inner = self.inner.lock();
-        // Entries already sitting in rings predate the plan; route them
-        // through the (new) pipeline in push order so arming mid-run cannot
-        // lose or reorder them.
-        scratch.clear();
-        self.dir.pop_all(&mut scratch);
-        scratch.sort_by_key(|e| e.ticket);
-        inner.faults = if enabled {
-            Some(FaultState {
+        owned.faults = plan.any_enabled().then(|| {
+            Arc::new(Faults {
                 plan,
-                channels: HashMap::new(),
                 counters: FaultCounters::new(),
             })
-        } else {
-            None
-        };
-        for e in scratch.drain(..) {
-            let (_, added) = inner.push_packet(e.p, e.ticket);
-            self.fallback_pending.fetch_add(added, Ordering::Release);
-        }
-        self.faulted.store(enabled, Ordering::Release);
-    }
-
-    /// Force every push through the locked queue without any fault
-    /// perturbation — the pre-ring mutex mailbox, kept as an in-tree
-    /// baseline for the datapath ablation benchmarks.
-    pub fn set_force_locked(&self, on: bool) {
-        self.force_locked.store(on, Ordering::Release);
+        });
     }
 
     /// The reliability layer, if a lossy plan is armed. One atomic load when
@@ -398,51 +549,49 @@ impl Mailbox {
         self.resil.read().clone()
     }
 
-    /// Number of live per-channel dedup records. O(channels) by
-    /// construction — the regression tests assert it stays flat while
-    /// thousands of duplicates flow through.
+    /// Number of live per-channel dedup records: one watermark per lane of
+    /// a faulted mailbox. O(channels) by construction — the regression
+    /// tests assert it stays flat while thousands of duplicates flow
+    /// through.
     pub fn dedup_entries(&self) -> usize {
-        self.inner
-            .lock()
-            .faults
-            .as_ref()
-            .map_or(0, |f| f.channels.len())
+        let owned = self.dir.owned.lock();
+        if owned.faults.is_some() {
+            owned.lanes.len()
+        } else {
+            0
+        }
     }
 
     /// Counts of faults injected so far, if a plan is armed.
     pub fn fault_report(&self) -> Option<FaultReport> {
-        self.inner
-            .lock()
-            .faults
-            .as_ref()
-            .map(|f| f.counters.report())
+        let owned = self.dir.owned.lock();
+        owned.faults.as_ref().map(|f| f.counters.report())
     }
 
-    /// Per-channel ring capacity, for tests that want to construct bursts
-    /// that provably wrap or spill.
+    /// Capacity of a lane's first ring, for tests that want to construct
+    /// bursts that provably grow it.
     pub fn ring_capacity() -> usize {
         RING_CAPACITY
     }
 
-    /// Pushes that took a channel ring (the lock-free path). Summed from
-    /// per-lane counters, so reading it is O(channels) — the hot path never
-    /// pays for it.
+    /// Pushes that fit their lane's ring as it was. Summed from per-lane
+    /// counters, so reading it is O(channels) — the hot path never pays for
+    /// it. Together with [`ring_spills`](Self::ring_spills) it counts every
+    /// push.
     pub fn ring_pushes(&self) -> u64 {
         self.dir
             .lanes()
-            .map(|l| l.pushes.load(Ordering::Relaxed))
+            .map(|l| l.prod.pushes.load(Ordering::Relaxed))
             .sum()
     }
 
-    /// Ring-path pushes that fell back to the locked queue: full ring, lost
-    /// producer claim, or channel directory at capacity.
+    /// Pushes that found their lane's ring full and grew it (the push's
+    /// entries went into the new, larger ring).
     pub fn ring_spills(&self) -> u64 {
-        self.dir_overflow.load(Ordering::Relaxed)
-            + self
-                .dir
-                .lanes()
-                .map(|l| l.spills.load(Ordering::Relaxed))
-                .sum::<u64>()
+        self.dir
+            .lanes()
+            .map(|l| l.prod.grows.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Deposit a packet (called by the sending thread) and wake the receiver.
@@ -451,10 +600,10 @@ impl Mailbox {
     }
 
     /// Deposit a packet together with an optional spurious retransmit copy
-    /// from the `resil` layer. The pair is pushed under one lock so the copy
-    /// shares the original's dedup sequence number even when other senders
-    /// race onto the same channel — the copy is then guaranteed to land
-    /// below the watermark and be dropped at drain.
+    /// from the `resil` layer. The pair is pushed under one producer claim,
+    /// so the copy shares the original's dedup sequence number even when
+    /// other senders race onto the same channel — the copy is then
+    /// guaranteed to land below the watermark and be dropped at drain.
     pub fn push_with_spurious(&self, p: Packet, spurious: Option<Packet>) {
         self.push_quiet(p, spurious);
         self.notify.notify();
@@ -464,105 +613,27 @@ impl Mailbox {
     /// the batched injection path pushes N packets and notifies once.
     pub fn push_quiet(&self, p: Packet, spurious: Option<Packet>) {
         sched::yield_point(SchedPoint::MailboxPush);
+        let lane = self.dir.get_or_insert((p.header.context_id, p.header.src));
+        lane.claim();
+        // Taken under the claim, so ticket order within a lane is ring order.
         let ticket = self.ticket.fetch_add(1, Ordering::Relaxed);
-        if self.faulted.load(Ordering::Acquire) || self.force_locked.load(Ordering::Acquire) {
-            let mut inner = self.inner.lock();
-            let (rseq, mut added) = inner.push_packet(p, ticket);
-            if let Some(sp) = spurious {
-                added += inner.push_spurious(rseq, sp);
-            }
-            self.fallback_pending.fetch_add(added, Ordering::Release);
-            return;
-        }
-        // A spurious copy only exists when resil is armed, which implies a
-        // lossy (armed) plan — i.e. the locked path above.
-        debug_assert!(spurious.is_none(), "spurious copy without an armed plan");
-        let chan = (p.header.context_id, p.header.src);
-        let entry = Entry {
-            ticket,
-            rseq: 0,
-            spurious: false,
-            p,
+        let grew = match &lane.faults {
+            // A spurious copy only exists when resil is armed, which implies
+            // an armed plan; without the dedup filter it is discarded
+            // rather than delivered twice.
+            None => lane.ring.push(Entry::new(ticket, 0, p)),
+            Some(f) => lane.push_faulted(f, ticket, p, spurious),
         };
-        let Some(lane) = self.dir.get_or_insert(chan) else {
-            // Directory at capacity: this channel lives on the fallback.
-            self.dir_overflow.fetch_add(1, Ordering::Relaxed);
-            self.spill(entry);
-            return;
-        };
-        if lane
-            .claim
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            match lane.ring.try_push(entry) {
-                Ok(()) => {
-                    lane.pushes.fetch_add(1, Ordering::Relaxed);
-                    if lane.saturated.load(Ordering::Relaxed) {
-                        lane.saturated.store(false, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => match self.wait_for_ring_room(lane, e) {
-                    None => {
-                        lane.pushes.fetch_add(1, Ordering::Relaxed);
-                        lane.saturated.store(false, Ordering::Relaxed);
-                    }
-                    Some(e) => {
-                        // Full ring: spill to the fallback queue. The ticket
-                        // keeps the entry ordered; only lock-freedom is lost.
-                        lane.saturated.store(true, Ordering::Relaxed);
-                        lane.spills.fetch_add(1, Ordering::Relaxed);
-                        self.spill(e);
-                    }
-                },
-            }
-            lane.claim.store(false, Ordering::Release);
+        let counter = if grew {
+            &lane.prod.grows
         } else {
-            // Rare second producer on one channel (e.g. two source VCIs whose
-            // tags map onto the same destination channel): SPSC soundness is
-            // preserved by sending the claim loser through the locked queue.
-            lane.spills.fetch_add(1, Ordering::Relaxed);
-            self.spill(entry);
+            &lane.prod.pushes
+        };
+        bump(counter);
+        lane.release();
+        if grew {
+            self.grows.incr();
         }
-    }
-
-    /// Bounded wait for the consumer to free a slot in `lane`'s full ring
-    /// (the caller holds the producer claim). Returns `None` once the entry
-    /// went in, or hands the entry back when the budget runs out — the
-    /// caller then spills it. Waiting beats spilling because a spill is not
-    /// one slow push: while the ring stays full, *every* subsequent push
-    /// takes the fallback mutex, so yielding a timeslice to the consumer
-    /// buys the next `RING_CAPACITY` pushes their lock-free path back.
-    fn wait_for_ring_room(&self, lane: &ChannelLane, mut entry: Entry) -> Option<Entry> {
-        if lane.saturated.load(Ordering::Relaxed) {
-            return Some(entry);
-        }
-        // The full ring is itself a doorbell: a consumer parked in
-        // `wait_past` cannot learn the ring filled without this (quiet
-        // pushes defer their batch notify until after the burst).
-        self.notify.notify();
-        for i in 0..FULL_RING_SPINS + FULL_RING_YIELDS {
-            if i < FULL_RING_SPINS {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-            match lane.ring.try_push(entry) {
-                Ok(()) => return None,
-                Err(back) => entry = back,
-            }
-        }
-        Some(entry)
-    }
-
-    /// Queue a ticketed entry on the locked fallback. The count is bumped
-    /// under the lock, so `fallback_pending` equals the queue length at
-    /// every lock release — a drain that observes it nonzero will find the
-    /// entry (or a successor drain will).
-    fn spill(&self, entry: Entry) {
-        let mut inner = self.inner.lock();
-        inner.q.push(entry);
-        self.fallback_pending.fetch_add(1, Ordering::Release);
     }
 
     /// Drain all queued packets, in push order, into `out`. Returns how
@@ -570,83 +641,37 @@ impl Mailbox {
     /// copies are dropped here, not delivered).
     pub fn drain_into(&self, out: &mut Vec<Packet>) -> usize {
         sched::yield_point(SchedPoint::MailboxDrain);
-        // The scratch lock serializes concurrent drainers (VCIs already do,
-        // on the engine lock) and recycles the merge buffer across drains.
         let mut batch = self.drain_scratch.lock();
         batch.clear();
-        // Pass 1, no locks: pop whatever each ring has published. On the
-        // steady-state path (no faults, empty fallback) this is the whole
-        // drain — producers and the consumer never share a lock.
-        self.dir.pop_all(&mut batch);
-        if self.faulted.load(Ordering::Acquire)
-            || self.fallback_pending.load(Ordering::Acquire) != 0
-        {
-            let mut inner = self.inner.lock();
-            // Pass 2, under the fallback lock: any fallback entry we are
-            // about to take was spilled *before* we acquired the lock, so
-            // its same-channel ring predecessors were published earlier
-            // still — this re-pop cannot miss them, and the ticket merge
-            // below restores exact push order. (A spill that lands after
-            // our acquisition is simply left for the next drain, together
-            // with however much of its channel's ring we did not pop.)
-            self.dir.pop_all(&mut batch);
-            if inner.faults.is_some() {
-                // Ring stragglers from before the plan was armed enter the
-                // fault pipeline in push order; then the locked queue drains
-                // with the watermark dedup, exactly as the pre-ring mailbox
-                // did.
-                batch.sort_by_key(|e| e.ticket);
-                for e in batch.drain(..) {
-                    let (_, added) = inner.push_packet(e.p, e.ticket);
-                    self.fallback_pending.fetch_add(added, Ordering::Release);
-                }
-                let Inner { q, faults } = &mut *inner;
-                let fs = faults.as_mut().expect("checked above");
-                let drained = q.len();
-                let mut n = 0;
-                for e in q.drain(..) {
-                    let chan = (e.p.header.context_id, e.p.header.src);
-                    let st = fs.channels.entry(chan).or_default();
-                    if e.rseq == st.next_deliver {
-                        st.next_deliver += 1;
-                        out.push(e.p);
-                        n += 1;
-                    } else {
-                        debug_assert!(
-                            e.rseq < st.next_deliver,
-                            "queued entry above the channel watermark"
-                        );
-                        if e.spurious {
-                            fs.counters.bump_spurious_dropped();
-                        } else {
-                            fs.counters.bump_dup_dropped();
-                        }
-                    }
-                }
-                self.fallback_pending.fetch_sub(drained, Ordering::Release);
-                return n;
+        let mut faults = None;
+        for lane in self.dir.lanes() {
+            let start = batch.len();
+            lane.ring.pop_all_into(&mut batch);
+            if let Some(f) = &lane.faults {
+                lane.dedup(f, &mut batch, start);
+                faults = Some(f);
             }
-            let drained = inner.q.len();
-            batch.extend(inner.q.drain(..));
-            self.fallback_pending.fetch_sub(drained, Ordering::Release);
         }
         batch.sort_by_key(|e| e.ticket);
+        if let Some(f) = faults {
+            reorder(f, &mut batch);
+        }
         let n = batch.len();
         out.extend(batch.drain(..).map(|e| e.p));
         n
     }
 
     /// Whether the queue is currently empty — the progress engine's fast
-    /// path: one load for the fallback plus one ring-index read per
-    /// registered channel, no locks, no stores.
+    /// path: a few ring-index loads per registered channel, no locks, no
+    /// stores.
     pub fn is_empty(&self) -> bool {
-        self.fallback_pending.load(Ordering::Acquire) == 0 && self.dir.rings_empty()
+        self.dir.lanes().all(|l| l.ring.is_empty())
     }
 
     /// Number of queued packets (including any not-yet-dropped duplicates).
     /// Racy under concurrent pushes; exact when quiescent.
     pub fn len(&self) -> usize {
-        self.fallback_pending.load(Ordering::Acquire) + self.dir.rings_len()
+        self.dir.lanes().map(|l| l.ring.len()).sum()
     }
 
     /// The notifier this mailbox signals.
@@ -655,137 +680,17 @@ impl Mailbox {
     }
 }
 
-impl Inner {
-    /// Queue a packet, applying armed faults. Returns the push-order dedup
-    /// sequence assigned on the packet's channel (0 when unfaulted) and the
-    /// number of entries queued (2 when a duplicate copy was injected).
-    fn push_packet(&mut self, mut p: Packet, ticket: u64) -> (u64, usize) {
-        let Some(fs) = self.faults.as_mut() else {
-            self.q.push(Entry {
-                ticket,
-                rseq: 0,
-                spurious: false,
-                p,
-            });
-            return (0, 1);
-        };
-        let (src, seq) = (p.header.src, p.header.seq);
-        let chan = (p.header.context_id, src);
-        let orig = p.arrive_at;
-
-        // Poisoned packets are synthetic failure notifications: they bypass
-        // fault perturbation (their timing is the protocol's give-up time)
-        // but still take a dedup slot and respect the channel floor.
-        if p.header.is_poisoned() {
-            let st = fs.channels.entry(chan).or_default();
-            let rseq = st.next_push;
-            st.next_push += 1;
-            p.arrive_at = p.arrive_at.max(st.floor);
-            st.floor = p.arrive_at;
-            self.q.push(Entry {
-                ticket,
-                rseq,
-                spurious: false,
-                p,
-            });
-            return (rseq, 1);
-        }
-
-        // Transient NACK: one retransmit round's worth of extra latency.
-        if fs.plan.nack_prob > 0.0 && fs.plan.unit(src, seq, 1) < fs.plan.nack_prob {
-            p.arrive_at += fs.plan.nack_delay;
-            fs.counters.bump_nack(fs.plan.nack_delay.as_ns());
-            obs::busy("fault", "nack", orig, p.arrive_at, obs::ResId::NONE);
-        }
-        // Plain delay: uniform extra latency in [1, delay_max].
-        if fs.plan.delay_prob > 0.0 && fs.plan.unit(src, seq, 2) < fs.plan.delay_prob {
-            let span = fs.plan.delay_max.as_ns().max(1);
-            let extra = 1 + (fs.plan.unit(src, seq, 3) * span as f64) as u64;
-            let before = p.arrive_at;
-            p.arrive_at += Nanos(extra.min(span));
-            fs.counters.bump_delay(p.arrive_at.as_ns() - before.as_ns());
-            obs::busy("fault", "delay", before, p.arrive_at, obs::ResId::NONE);
-        }
-        // Heavy-tail straggler: Pareto extra latency on a few packets —
-        // applied before the channel clamp so per-channel FIFO survives.
-        if let Some(extra) = fs.plan.straggle_ns(src, seq) {
-            let before = p.arrive_at;
-            p.arrive_at += Nanos(extra);
-            fs.counters.bump_straggle(extra);
-            obs::busy("fault", "straggler", before, p.arrive_at, obs::ResId::NONE);
-        }
-        let st = fs.channels.entry(chan).or_default();
-        // Head-of-line clamp: a channel's arrivals stay monotone in virtual
-        // time even when an earlier packet was delayed past this one.
-        if p.arrive_at < st.floor {
-            p.arrive_at = st.floor;
-        }
-        st.floor = p.arrive_at;
-        let rseq = st.next_push;
-        st.next_push += 1;
-
-        let duplicate =
-            fs.plan.duplicate_prob > 0.0 && fs.plan.unit(src, seq, 4) < fs.plan.duplicate_prob;
-        let reorder =
-            fs.plan.reorder_prob > 0.0 && fs.plan.unit(src, seq, 5) < fs.plan.reorder_prob;
-
-        let copy = duplicate.then(|| p.clone());
-        self.q.push(Entry {
-            ticket,
-            rseq,
-            spurious: false,
-            p,
-        });
-        // Cross-channel reorder: swap with the previously queued packet iff
-        // it belongs to a different channel (same-channel real order is the
-        // transport's non-overtaking guarantee and must survive).
-        if reorder && self.q.len() >= 2 {
-            let i = self.q.len() - 2;
-            let prev = &self.q[i].p.header;
-            if (prev.context_id, prev.src) != chan {
-                self.q.swap(i, i + 1);
-                fs.counters.bump_reorder();
-                obs::busy("fault", "reorder", orig, orig, obs::ResId::NONE);
-            }
-        }
-        let mut added = 1;
-        if let Some(c) = copy {
-            fs.counters.bump_dup_injected();
-            obs::busy(
-                "fault",
-                "duplicate",
-                c.arrive_at,
-                c.arrive_at,
-                obs::ResId::NONE,
-            );
-            // The copy shares the original's dedup sequence: it lands below
-            // the watermark at drain and is dropped.
-            self.q.push(Entry {
-                ticket,
-                rseq,
-                spurious: false,
-                p: c,
-            });
-            added = 2;
-        }
-        (rseq, added)
-    }
-
-    /// Queue a spurious retransmit copy sharing `rseq` with its original
-    /// (dropped at drain, counted separately from duplicate faults). Without
-    /// an armed plan there is no dedup filter, so the copy is discarded
-    /// outright rather than delivered twice. Returns entries queued.
-    fn push_spurious(&mut self, rseq: u64, p: Packet) -> usize {
-        if self.faults.is_some() {
-            self.q.push(Entry {
-                ticket: 0,
-                rseq,
-                spurious: true,
-                p,
-            });
-            1
-        } else {
-            0
+/// Cross-channel reorder faults on a ticket-merged drain batch: a flagged
+/// entry swaps with its predecessor iff that belongs to a different channel
+/// (same-channel real order is the transport's non-overtaking guarantee and
+/// must survive).
+fn reorder(f: &Faults, batch: &mut [Entry]) {
+    for i in 1..batch.len() {
+        if batch[i].reorder && batch[i - 1].channel() != batch[i].channel() {
+            batch.swap(i - 1, i);
+            f.counters.bump_reorder();
+            let at = batch[i - 1].p.arrive_at;
+            obs::busy("fault", "reorder", at, at, obs::ResId::NONE);
         }
     }
 }
@@ -796,6 +701,7 @@ mod tests {
     use crate::packet::Header;
     use bytes::Bytes;
     use rankmpi_vtime::Nanos;
+    use std::collections::HashMap;
     use std::time::Duration;
 
     fn pkt(seq: u64) -> Packet {
@@ -856,19 +762,30 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraparound_and_overflow_spill_keep_order() {
-        // Push far beyond the ring capacity without draining: overflow spills
-        // to the locked queue; a later drain must still see exact push order.
-        let mb = Mailbox::new(Arc::new(Notify::new()));
+    fn full_ring_grows_and_keeps_order() {
+        // Push far beyond the first ring's capacity without draining: the
+        // lane grows instead of spilling; a later drain must still see exact
+        // push order, and the grown ring then absorbs the same burst.
+        let grows = Arc::new(Counter::new());
+        let mb = Mailbox::with_grow_counter(Arc::new(Notify::new()), Arc::clone(&grows));
         let n = 4 * RING_CAPACITY as u64;
         for seq in 0..n {
             mb.push(pkt_on(1, 0, seq, seq));
         }
-        assert!(mb.ring_spills() > 0, "burst beyond capacity must spill");
+        // 16 → 32 → 64: two growths hold 64 entries.
+        assert_eq!(mb.ring_spills(), 2, "a burst of 4x capacity grows twice");
+        assert_eq!(grows.get(), 2, "growths reach the shared counter");
+        assert_eq!(mb.ring_pushes() + mb.ring_spills(), n);
         let mut out = Vec::new();
         assert_eq!(mb.drain_into(&mut out), n as usize);
         let seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
         assert_eq!(seqs, (0..n).collect::<Vec<_>>());
+        for seq in 0..n {
+            mb.push(pkt_on(1, 0, seq, seq));
+        }
+        assert_eq!(mb.ring_spills(), 2, "the grown ring holds the burst");
+        out.clear();
+        assert_eq!(mb.drain_into(&mut out), n as usize);
         // Wraparound: repeated small bursts reuse the ring slots.
         for round in 0..10 {
             for seq in 0..8 {
@@ -881,26 +798,27 @@ mod tests {
     }
 
     #[test]
-    fn force_locked_matches_ring_path_exactly() {
-        let ring = Mailbox::new(Arc::new(Notify::new()));
-        let locked = Mailbox::new(Arc::new(Notify::new()));
-        locked.set_force_locked(true);
-        for i in 0..50u64 {
-            let src = (i % 4) as u32;
-            ring.push(pkt_on(2, src, i, i));
-            locked.push(pkt_on(2, src, i, i));
+    fn directory_grows_past_its_first_table() {
+        // Far more channels than the first table holds: every one gets a
+        // lane, lookups still find every lane after each doubling, and the
+        // merged drain keeps global push order.
+        let mb = Mailbox::new(Arc::new(Notify::new()));
+        let channels = 40 * DIR_INITIAL_SLOTS as u32;
+        let mut expect = Vec::new();
+        for round in 0..3u64 {
+            for src in 0..channels {
+                mb.push(pkt_on(src % 3, src, round, round));
+                expect.push((src, round));
+            }
         }
-        assert_eq!(ring.ring_pushes(), 50);
-        assert_eq!(locked.ring_pushes(), 0, "forced-locked never takes a ring");
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        ring.drain_into(&mut a);
-        locked.drain_into(&mut b);
-        let key = |v: &[Packet]| {
-            v.iter()
-                .map(|p| (p.header.src, p.header.seq))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&a), key(&b));
+        assert_eq!(mb.ring_pushes(), 3 * channels as u64);
+        assert_eq!(mb.ring_spills(), 0, "no push may grow a ring here");
+        assert_eq!(mb.len(), 3 * channels as usize);
+        let mut out = Vec::new();
+        mb.drain_into(&mut out);
+        let got: Vec<(u32, u64)> = out.iter().map(|p| (p.header.src, p.header.seq)).collect();
+        assert_eq!(got, expect);
+        assert!(mb.is_empty());
     }
 
     #[test]
@@ -940,8 +858,9 @@ mod tests {
     #[test]
     fn racing_producers_on_one_channel_lose_nothing() {
         // Two threads violating the one-producer-per-channel assumption: the
-        // claim CAS must shunt the loser to the locked queue, not corrupt
-        // the ring. Every packet is delivered exactly once.
+        // claim must make the second wait, not corrupt the ring. Every
+        // packet is delivered exactly once, and each thread's packets stay
+        // in its push order.
         let mb = Arc::new(Mailbox::new(Arc::new(Notify::new())));
         let n_per = 5_000u64;
         let producers: Vec<_> = (0..2)
@@ -959,9 +878,13 @@ mod tests {
         }
         let mut out = Vec::new();
         assert_eq!(mb.drain_into(&mut out), 2 * n_per as usize);
-        let mut seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
-        seqs.sort_unstable();
-        assert_eq!(seqs, (0..2 * n_per).collect::<Vec<_>>());
+        let mut next = [0, n_per];
+        for p in &out {
+            let half = (p.header.seq / n_per) as usize;
+            assert_eq!(p.header.seq, next[half], "thread {half} reordered");
+            next[half] += 1;
+        }
+        assert_eq!(next, [n_per, 2 * n_per]);
     }
 
     #[test]
@@ -1026,26 +949,6 @@ mod tests {
         let mut seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn arming_mid_run_migrates_ring_stragglers() {
-        // Packets pushed before arming sit in rings; arming must route them
-        // through the fault pipeline without loss or reordering.
-        let mb = Mailbox::new(Arc::new(Notify::new()));
-        for seq in 0..10 {
-            mb.push(pkt_on(1, 0, seq, 10 * seq));
-        }
-        mb.arm_faults(FaultPlan::new(11).duplicates(0.5));
-        for seq in 10..20 {
-            mb.push(pkt_on(1, 0, seq, 10 * seq));
-        }
-        let mut out = Vec::new();
-        let delivered = mb.drain_into(&mut out);
-        assert_eq!(delivered, 20, "all originals exactly once");
-        let seqs: Vec<u64> = out.iter().map(|p| p.header.seq).collect();
-        assert_eq!(seqs, (0..20).collect::<Vec<_>>());
-        assert!(mb.is_empty());
     }
 
     #[test]
@@ -1166,5 +1069,38 @@ mod tests {
         });
         mb.push(pkt(1));
         assert!(t.join().unwrap() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the mailbox's first push")]
+    fn arming_after_a_push_is_refused() {
+        let mb = Mailbox::new(Arc::new(Notify::new()));
+        mb.push(pkt(0));
+        mb.arm_faults(FaultPlan::chaos(1));
+    }
+
+    #[test]
+    fn reorders_swap_only_across_channels_in_the_drain_batch() {
+        let mb = Mailbox::new(Arc::new(Notify::new()));
+        mb.arm_faults(FaultPlan::new(9).reorders(0.5));
+        for seq in 0..100 {
+            mb.push(pkt_on(1, 0, seq, seq));
+            mb.push(pkt_on(1, 1, seq, seq));
+            mb.push(pkt_on(1, 1, 1000 + seq, seq));
+        }
+        let mut out = Vec::new();
+        assert_eq!(mb.drain_into(&mut out), 300);
+        let report = mb.fault_report().unwrap();
+        assert!(report.reorders > 0, "seed must reorder something");
+        let pushed: Vec<(u32, u64)> = (0..100)
+            .flat_map(|s| [(0, s), (1, s), (1, 1000 + s)])
+            .collect();
+        let got: Vec<(u32, u64)> = out.iter().map(|p| (p.header.src, p.header.seq)).collect();
+        assert_ne!(got, pushed, "reordered batch kept push order");
+        for src in 0..2 {
+            let chan =
+                |v: &[(u32, u64)]| v.iter().filter(|c| c.0 == src).copied().collect::<Vec<_>>();
+            assert_eq!(chan(&got), chan(&pushed), "channel {src} reordered");
+        }
     }
 }

@@ -1,13 +1,13 @@
-//! A bounded single-producer/single-consumer ring buffer.
+//! Single-producer/single-consumer rings: a bounded [`SpscRing`], and the
+//! unbounded [`GrowRing`] the mailbox lanes are built from.
 //!
-//! This is the lock-free primitive under the mailbox's per-channel queues:
-//! one producer (the sender holding its context gate, or — rarely — a racer
-//! that won the channel's producer claim) publishes entries with a release
-//! store of `tail`; one consumer (whichever thread runs the owning VCI's
-//! progress engine; the engine lock serializes them) consumes with a release
-//! store of `head`. Slots are `MaybeUninit` so steady-state traffic moves
-//! values in place with no per-entry heap allocation — the ring *is* the
-//! packet arena for in-flight entries.
+//! One producer (the sender holding its channel's producer claim) publishes
+//! entries with a release store of `tail`; one consumer (whichever thread
+//! runs the owning VCI's progress engine; the mailbox's drain lock
+//! serializes them) consumes with a release store of `head`. Slots are
+//! `MaybeUninit` so steady-state traffic moves values in place with no
+//! per-entry heap allocation — the ring *is* the packet arena for in-flight
+//! entries.
 //!
 //! The two indices live on separate cachelines, and each side keeps a
 //! *cached* copy of the other side's index next to its own: the producer
@@ -15,10 +15,17 @@
 //! reloads `tail` only when its cache says the ring looks empty. Steady-state
 //! push/pop traffic therefore touches the remote cacheline about once per
 //! ring-length of entries instead of once per entry.
+//!
+//! A [`GrowRing`] never refuses a push: when its newest ring is full, the
+//! producer links a successor of twice the capacity and carries on there;
+//! the consumer moves to the successor once it has emptied the old ring.
+//! Superseded rings stay allocated until the `GrowRing` drops, so a reader
+//! on any thread can walk the chain without a lock.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The producer's cacheline: its index plus a stale-but-safe view of the
 /// consumer's. `head` only ever advances, so a cached value understates how
@@ -43,9 +50,9 @@ struct ConsumerSide {
 }
 
 /// A bounded SPSC ring. `try_push` may only be called by one thread at a
-/// time, and `pop` by one thread at a time (the two may be different threads
-/// and may run concurrently with each other) — callers enforce this with a
-/// producer claim and a consumer lock respectively.
+/// time, and `pop`/`pop_all_into` by one thread at a time (the two may be
+/// different threads and may run concurrently with each other) — callers
+/// enforce this with a producer claim and a consumer lock respectively.
 pub struct SpscRing<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     mask: usize,
@@ -197,6 +204,138 @@ impl<T> std::fmt::Debug for SpscRing<T> {
     }
 }
 
+/// One ring of a [`GrowRing`] chain plus the link to its successor.
+struct Segment<T> {
+    ring: SpscRing<T>,
+    /// Set once, by the producer, when `ring` was full; every later entry
+    /// goes to the successor. The `OnceLock` publishes it with release and
+    /// reads it with acquire ordering, so a consumer that sees the link also
+    /// sees every entry published to `ring` before it.
+    next: OnceLock<Box<Segment<T>>>,
+}
+
+impl<T> Segment<T> {
+    fn new(capacity: usize) -> Self {
+        Segment {
+            ring: SpscRing::with_capacity(capacity),
+            next: OnceLock::new(),
+        }
+    }
+}
+
+/// An unbounded SPSC queue: a chain of [`SpscRing`]s, each twice the size
+/// of its predecessor. Same single-producer/single-consumer contract as
+/// [`SpscRing`]; `is_empty`/`len` are safe from any thread.
+///
+/// The producer only ever pushes to the newest ring, the consumer only ever
+/// pops the oldest ring that may still hold entries, and a ring is left
+/// behind only once its successor is linked — so per-queue FIFO order holds
+/// across growths. Growth allocates; a queue whose bursts fit its ring never
+/// does.
+pub struct GrowRing<T> {
+    first: Segment<T>,
+    /// The producer's segment (null means `first`). Written only by the
+    /// producer; the producer claim orders it between successive producers.
+    tail: AtomicPtr<Segment<T>>,
+    /// The consumer's segment (null means `first`). Written only by the
+    /// consumer, read by anyone.
+    head: AtomicPtr<Segment<T>>,
+}
+
+impl<T> GrowRing<T> {
+    /// A queue whose first ring holds `capacity` entries (rounded up to a
+    /// power of two).
+    pub fn with_capacity(capacity: usize) -> Self {
+        GrowRing {
+            first: Segment::new(capacity),
+            tail: AtomicPtr::new(std::ptr::null_mut()),
+            head: AtomicPtr::new(std::ptr::null_mut()),
+        }
+    }
+
+    fn segment(&self, p: *mut Segment<T>) -> &Segment<T> {
+        if p.is_null() {
+            &self.first
+        } else {
+            // Safety: a non-null segment pointer names a successor owned by
+            // the chain rooted at `first`; segments are freed only when the
+            // whole queue drops.
+            unsafe { &*p }
+        }
+    }
+
+    /// Capacity of the newest ring (producer side; racy elsewhere).
+    pub fn capacity(&self) -> usize {
+        self.segment(self.tail.load(Ordering::Acquire))
+            .ring
+            .capacity()
+    }
+
+    /// Append `v`. Returns `true` iff the newest ring was full and this push
+    /// linked a successor of twice its capacity. Single producer: the caller
+    /// must hold the queue's producer claim.
+    pub fn push(&self, v: T) -> bool {
+        let seg = self.segment(self.tail.load(Ordering::Relaxed));
+        let Err(v) = seg.ring.try_push(v) else {
+            return false;
+        };
+        let next = Segment::new(2 * seg.ring.capacity());
+        // The successor is still private and empty, so this cannot fail.
+        assert!(next.ring.try_push(v).is_ok(), "fresh ring rejected a push");
+        // Only the producer links segments, so the cell is still empty.
+        let next: &Segment<T> = seg.next.get_or_init(|| Box::new(next));
+        self.tail.store(
+            next as *const Segment<T> as *mut Segment<T>,
+            Ordering::Relaxed,
+        );
+        true
+    }
+
+    /// Consume every entry published as of entry, in FIFO order, following
+    /// links to successor rings as the older rings empty. Returns the
+    /// count. Single consumer: the caller must hold the drain lock.
+    pub fn pop_all_into(&self, out: &mut Vec<T>) -> usize {
+        let mut seg = self.segment(self.head.load(Ordering::Relaxed));
+        let mut n = seg.ring.pop_all_into(out);
+        while let Some(next) = seg.next.get() {
+            // The link is visible, so the producer has stopped pushing to
+            // `seg` and everything it published there is visible too: one
+            // more pop empties it for good.
+            n += seg.ring.pop_all_into(out);
+            seg = next;
+            self.head.store(
+                seg as *const Segment<T> as *mut Segment<T>,
+                Ordering::Release,
+            );
+            n += seg.ring.pop_all_into(out);
+        }
+        n
+    }
+
+    /// The segments from the consumer's onwards.
+    fn live(&self) -> impl Iterator<Item = &Segment<T>> {
+        let head = self.segment(self.head.load(Ordering::Acquire));
+        std::iter::successors(Some(head), |s| s.next.get().map(|b| &**b))
+    }
+
+    /// Entries currently queued (racy under concurrent push/pop; exact when
+    /// quiescent). Safe from any thread.
+    pub fn len(&self) -> usize {
+        self.live().map(|s| s.ring.len()).sum()
+    }
+
+    /// Whether the queue is empty (same caveat as [`len`](Self::len)).
+    pub fn is_empty(&self) -> bool {
+        self.live().all(|s| s.ring.is_empty())
+    }
+}
+
+impl<T> std::fmt::Debug for GrowRing<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "GrowRing(len {}, cap {})", self.len(), self.capacity())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +466,85 @@ mod tests {
             }
         }
         p.join().unwrap();
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn grow_ring_keeps_fifo_across_growths() {
+        let r = GrowRing::with_capacity(2);
+        let grew: usize = (0..100u64).map(|i| r.push(i) as usize).sum();
+        // 2 + 4 + … + 64 ≥ 100: five growths.
+        assert_eq!(grew, 5);
+        assert_eq!(r.capacity(), 64);
+        assert_eq!(r.len(), 100);
+        let mut out = Vec::new();
+        assert_eq!(r.pop_all_into(&mut out), 100);
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
+        assert!(r.is_empty());
+        // The consumer now sits on the newest ring: a full ring's worth of
+        // pushes fits without another growth.
+        for i in 0..64u64 {
+            assert!(!r.push(i));
+        }
+        assert_eq!(r.len(), 64);
+    }
+
+    #[test]
+    fn grow_ring_pops_old_ring_before_successor() {
+        // Entries still in the old ring when the successor is linked must
+        // come out first.
+        let r = GrowRing::with_capacity(4);
+        let mut out = Vec::new();
+        for i in 0..3u64 {
+            r.push(i);
+        }
+        r.pop_all_into(&mut out);
+        for i in 3..12u64 {
+            r.push(i);
+        }
+        assert_eq!(r.pop_all_into(&mut out), 9);
+        assert_eq!(out, (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn grow_ring_drop_releases_entries_in_every_segment() {
+        let token = Arc::new(());
+        {
+            let r = GrowRing::with_capacity(2);
+            for _ in 0..9 {
+                r.push(Arc::clone(&token));
+            }
+            let mut out = Vec::new();
+            r.pop_all_into(&mut out);
+            drop(out);
+            for _ in 0..5 {
+                r.push(Arc::clone(&token));
+            }
+            assert_eq!(Arc::strong_count(&token), 6);
+        }
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn grow_ring_concurrent_producer_and_consumer_lose_nothing() {
+        let r = Arc::new(GrowRing::with_capacity(2));
+        let n = 100_000u64;
+        let p = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                for i in 0..n {
+                    r.push(i);
+                }
+            })
+        };
+        let mut out = Vec::new();
+        while (out.len() as u64) < n {
+            // Any-thread readers must stay safe while segments are linked.
+            let _ = r.is_empty();
+            r.pop_all_into(&mut out);
+        }
+        p.join().unwrap();
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
         assert!(r.is_empty());
     }
 }

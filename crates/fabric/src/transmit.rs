@@ -570,6 +570,8 @@ mod tests {
         // no lossy class is armed (chaos has none).
         use crate::FaultPlan;
         let (p, src, dst, mail) = setup();
+        mail.arm_faults(FaultPlan::chaos(3));
+        assert!(mail.resil().is_none());
         let mut c1 = Clock::new();
         let a = transmit(
             &p,
@@ -583,9 +585,6 @@ mod tests {
         let cpu = p.send_overhead + p.context_lock.acquire_base + p.doorbell;
         assert_eq!(a.local_complete, cpu);
         assert_eq!(a.attempts, 1);
-        assert!(mail.resil().is_none());
-        mail.arm_faults(FaultPlan::chaos(3));
-        assert!(mail.resil().is_none());
     }
 
     #[test]

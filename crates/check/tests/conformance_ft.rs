@@ -15,8 +15,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rankmpi_check::{base_seed, engines_under_test, launch_modes_under_test};
-use rankmpi_core::{Errhandler, LaunchMode, RankMpiError, Universe};
-use rankmpi_fabric::{FaultPlan, NetworkProfile};
+use rankmpi_core::{Errhandler, Info, LaunchMode, RankMpiError, Universe};
+use rankmpi_endpoints::comm_create_endpoints;
+use rankmpi_fabric::{CrashPoint, FaultPlan, NetworkProfile};
 use rankmpi_stream::ft::{run_farm_ft, FarmFtConfig};
 use rankmpi_vtime::Nanos;
 use rankmpi_workloads::ft::{run_halo_ft, HaloFtConfig};
@@ -173,6 +174,46 @@ fn pending_recv_from_the_dead_fails_with_process_failed() {
             }
         });
     }
+}
+
+/// Endpoint sends take the communicators' eager route, so they too refuse a
+/// peer the detector has already declared dead instead of "completing".
+#[test]
+fn endpoint_send_to_the_dead_fails_with_process_failed() {
+    // Rank 1 must survive endpoint creation (one barrier send) and die on a
+    // later send.
+    let plan = (0..)
+        .map(|s| FaultPlan::new(base_seed() ^ 0xE9D ^ s).crashes(1.0, 4, Nanos::us(40)))
+        .find(|p| matches!(p.crash_point(1), Some(CrashPoint::Sends(n)) if n >= 2))
+        .unwrap();
+    let u = Universe::builder().nodes(2).fault_plan(plan).build();
+    u.run_ft(|env| {
+        let world = env.world();
+        world.set_errhandler(Errhandler::ErrorsReturn);
+        let mut th = env.single_thread();
+        let eps = comm_create_endpoints(&world, &mut th, 1, &Info::new()).unwrap();
+        if env.rank() == 0 {
+            let got = world.recv_timeout(&mut th, 1, 5, Duration::from_secs(30));
+            assert!(
+                matches!(got, Err(RankMpiError::ProcessFailed { rank: 1 })),
+                "detector must fire first, got {got:?}"
+            );
+            let peer = eps[0].topology().ep_rank(1, 0);
+            let sent = eps[0].send(&mut th, peer, 0, b"to-the-dead");
+            assert!(
+                matches!(sent, Err(RankMpiError::ProcessFailed { rank: 1 })),
+                "endpoint send to a dead peer must fail, got {sent:?}"
+            );
+        } else {
+            for i in 0..64u32 {
+                th.clock.advance(Nanos::us(2));
+                if world.send(&mut th, 0, 9, &i.to_le_bytes()).is_err() {
+                    break;
+                }
+            }
+            panic!("rank 1 outlived a probability-1 crash plan");
+        }
+    });
 }
 
 /// The fault-tolerant agreement is a true AND over the contributions and

@@ -7,17 +7,24 @@
 //! [`Error::ConcurrentCollective`].
 //!
 //! Algorithms are the textbook ones (dissemination barrier, binomial
-//! bcast/reduce, pairwise alltoall) implemented over the communicator's own
-//! point-to-point channel, on a context id with [`COLL_CTX_BIT`] set so that
-//! collective traffic can never match user receives.
+//! bcast/reduce, pairwise alltoall) implemented over a [`CollPort`]: the
+//! participant's point-to-point channel on a context id with
+//! [`COLL_CTX_BIT`] set, so that collective traffic can never match user
+//! receives. The rooted and replicated collectives are free functions
+//! generic over the port, so communicators and endpoints run the same code.
 
 use bytes::Bytes;
+
+use rankmpi_obs::trace::ResId;
+use rankmpi_vtime::Nanos;
 
 use crate::comm::{CollGuard, Communicator, COLL_CTX_BIT};
 use crate::error::{Error, Result};
 use crate::matching::MatchPattern;
 use crate::proc::ThreadCtx;
+use crate::pt2pt::SendSpec;
 use crate::request::Request;
+use crate::tag::TAG_UB;
 
 /// Reduction operators over `f64` data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,32 +66,235 @@ pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
         .collect()
 }
 
+/// Tag of phase `phase` of collective number `seq`: successive collectives
+/// use distinct tag windows of 16 phases each.
+pub fn coll_tag(seq: u64, phase: u32) -> i64 {
+    (((seq % ((TAG_UB as u64 + 1) / 16)) * 16) + phase as u64) as i64
+}
+
+/// One participant's view of one collective episode: its rank, the group
+/// size, and point-to-point on the collective context within the episode's
+/// tag window. Communicators and endpoints implement it, so both run the
+/// algorithms of this module.
+pub trait CollPort {
+    /// This participant's rank.
+    fn rank(&self) -> usize;
+    /// Number of participants.
+    fn size(&self) -> usize;
+    /// Eager send of phase `phase` to rank `dst`.
+    fn send(&self, th: &mut ThreadCtx, phase: u32, dst: usize, data: &[u8]) -> Result<Request>;
+    /// Blocking receive of phase `phase` from rank `src`.
+    fn recv(&self, th: &mut ThreadCtx, phase: u32, src: usize) -> Result<Bytes>;
+}
+
+impl CollPort for CollGuard<'_> {
+    fn rank(&self) -> usize {
+        self.comm.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.comm.size()
+    }
+
+    fn send(&self, th: &mut ThreadCtx, phase: u32, dst: usize, data: &[u8]) -> Result<Request> {
+        let c = self.comm;
+        let (vci, ctx) = (c.vci_block()[0], c.context_id() | COLL_CTX_BIT);
+        c.isend_on_vcis(th, vci, vci, ctx, dst, coll_tag(self.seq, phase), data)
+    }
+
+    fn recv(&self, th: &mut ThreadCtx, phase: u32, src: usize) -> Result<Bytes> {
+        let c = self.comm;
+        let pattern = MatchPattern {
+            context_id: c.context_id() | COLL_CTX_BIT,
+            src: src as i64,
+            tag: coll_tag(self.seq, phase),
+        };
+        let req = c.irecv_on_vci(th, c.vci_block()[0], pattern)?;
+        // Route fabric/FT failures through the errhandler instead of letting
+        // `Request::wait` panic mid-collective: a poisoned or process-failure
+        // outcome inside a collective phase must surface as an error the
+        // caller (or the fatal default handler) can act on.
+        match req.wait_outcome(&mut th.clock) {
+            Ok((_st, data)) => Ok(data),
+            Err(e) => c.handle_error(e),
+        }
+    }
+}
+
+fn check_root(port: &impl CollPort, root: usize) -> Result<()> {
+    if root >= port.size() {
+        return Err(Error::InvalidRank {
+            rank: root as i64,
+            size: port.size(),
+        });
+    }
+    Ok(())
+}
+
+/// Dissemination barrier.
+pub fn barrier(th: &mut ThreadCtx, port: &impl CollPort) -> Result<()> {
+    let (p, r) = (port.size(), port.rank());
+    let mut phase = 0u32;
+    let mut dist = 1usize;
+    while dist < p {
+        port.send(th, phase, (r + dist) % p, &[])?;
+        port.recv(th, phase, (r + p - dist) % p)?;
+        dist <<= 1;
+        phase += 1;
+    }
+    Ok(())
+}
+
+/// Binomial-tree broadcast from `root` on tag phase `phase` (composite
+/// collectives offset it so their steps' tags cannot collide). The root
+/// passes `Some(data)`; everyone returns the broadcast payload.
+pub fn bcast(
+    th: &mut ThreadCtx,
+    port: &impl CollPort,
+    phase: u32,
+    root: usize,
+    data: Option<&[u8]>,
+) -> Result<Bytes> {
+    check_root(port, root)?;
+    let (p, r) = (port.size(), port.rank());
+    let vr = (r + p - root) % p; // virtual rank: root becomes 0
+    let buf: Bytes;
+    let mut mask = 1usize;
+    if vr == 0 {
+        buf =
+            Bytes::copy_from_slice(data.ok_or(Error::InvalidState("bcast root must supply data"))?);
+        while mask < p {
+            mask <<= 1;
+        }
+    } else {
+        // Find the lowest set bit: that is the edge to the parent.
+        while vr & mask == 0 {
+            mask <<= 1;
+        }
+        buf = port.recv(th, phase, (vr - mask + root) % p)?;
+    }
+    // Forward down the tree.
+    let mut m = mask >> 1;
+    while m > 0 {
+        if vr + m < p {
+            port.send(th, phase, (vr + m + root) % p, &buf)?;
+        }
+        m >>= 1;
+    }
+    Ok(buf)
+}
+
+/// Binomial-tree reduction to `root` on tag phase `phase`. Returns
+/// `Some(result)` on the root, `None` elsewhere.
+pub fn reduce(
+    th: &mut ThreadCtx,
+    port: &impl CollPort,
+    phase: u32,
+    root: usize,
+    contribution: &[f64],
+    op: ReduceOp,
+) -> Result<Option<Vec<f64>>> {
+    check_root(port, root)?;
+    let (p, r) = (port.size(), port.rank());
+    let vr = (r + p - root) % p;
+    let mut acc = contribution.to_vec();
+    let costs = th.proc().costs().clone();
+    let mut mask = 1usize;
+    while mask < p {
+        if vr & mask != 0 {
+            let parent = (vr - mask + root) % p;
+            port.send(th, phase, parent, &f64s_to_bytes(&acc))?;
+            return Ok(None);
+        }
+        if vr + mask < p {
+            let data = port.recv(th, phase, (vr + mask + root) % p)?;
+            let other = bytes_to_f64s(&data);
+            if other.len() != acc.len() {
+                return Err(Error::LengthMismatch {
+                    expected: acc.len(),
+                    got: other.len(),
+                });
+            }
+            th.clock.advance(costs.reduce_cost(acc.len()));
+            op.apply(&mut acc, &other);
+        }
+        mask <<= 1;
+    }
+    Ok(Some(acc))
+}
+
+/// Gather equal-size byte contributions to `root` on tag phase `phase`.
+/// Returns all contributions in rank order on the root, `None` elsewhere.
+pub fn gather(
+    th: &mut ThreadCtx,
+    port: &impl CollPort,
+    phase: u32,
+    root: usize,
+    data: &[u8],
+) -> Result<Option<Vec<Bytes>>> {
+    if port.rank() != root {
+        port.send(th, phase, root, data)?;
+        return Ok(None);
+    }
+    let mut out: Vec<Bytes> = vec![Bytes::new(); port.size()];
+    out[root] = Bytes::copy_from_slice(data);
+    for (src, slot) in out.iter_mut().enumerate() {
+        if src != root {
+            *slot = port.recv(th, phase, src)?;
+        }
+    }
+    Ok(Some(out))
+}
+
+/// Allreduce: reduce to rank 0, then broadcast the result.
+pub fn allreduce(
+    th: &mut ThreadCtx,
+    port: &impl CollPort,
+    contribution: &[f64],
+    op: ReduceOp,
+) -> Result<Vec<f64>> {
+    let reduced = reduce(th, port, 0, 0, contribution, op)?;
+    let out = bcast(
+        th,
+        port,
+        8, // phase offset separates the bcast's tags from the reduce's
+        0,
+        reduced.as_ref().map(|v| f64s_to_bytes(v)).as_deref(),
+    )?;
+    Ok(bytes_to_f64s(&out))
+}
+
+/// Allgather: gather to rank 0, then broadcast the concatenation.
+/// Contributions must be equal-sized.
+pub fn allgather(th: &mut ThreadCtx, port: &impl CollPort, data: &[u8]) -> Result<Vec<Bytes>> {
+    let p = port.size();
+    let chunk = data.len();
+    let concat: Option<Vec<u8>> = gather(th, port, 0, 0, data)?.map(|parts| {
+        let mut c = Vec::with_capacity(chunk * p);
+        for part in &parts {
+            debug_assert_eq!(part.len(), chunk, "allgather needs equal sizes");
+            c.extend_from_slice(part);
+        }
+        c
+    });
+    let all = bcast(th, port, 8, 0, concat.as_deref())?;
+    if all.len() != chunk * p {
+        return Err(Error::LengthMismatch {
+            expected: chunk * p,
+            got: all.len(),
+        });
+    }
+    Ok((0..p)
+        .map(|i| all.slice(i * chunk..(i + 1) * chunk))
+        .collect())
+}
+
+/// Record a communicator collective's span in the `coll` trace layer.
+fn coll_span(name: &'static str, entered_at: Nanos, th: &ThreadCtx) {
+    rankmpi_obs::trace::busy("coll", name, entered_at, th.clock.now(), ResId::NONE);
+}
+
 impl Communicator {
-    fn coll_tag(guard: &CollGuard<'_>, phase: u32) -> i64 {
-        // Successive collectives use distinct tag windows; 16 phases each.
-        (((guard.seq % ((crate::tag::TAG_UB as u64 + 1) / 16)) * 16) + phase as u64) as i64
-    }
-
-    fn coll_send(
-        &self,
-        th: &mut ThreadCtx,
-        guard: &CollGuard<'_>,
-        phase: u32,
-        dst: usize,
-        data: &[u8],
-    ) -> Result<Request> {
-        let vci = self.vci_block()[0];
-        self.isend_on_vcis(
-            th,
-            vci,
-            vci,
-            self.context_id() | COLL_CTX_BIT,
-            dst,
-            Self::coll_tag(guard, phase),
-            data,
-        )
-    }
-
     /// Fan out several same-phase sends as one batched injection (single
     /// gate acquisition + amortized doorbell on the collective VCI) — the
     /// root side of scatter-shaped collectives.
@@ -96,10 +306,10 @@ impl Communicator {
         msgs: &[(usize, &[u8])],
     ) -> Result<()> {
         let vci = self.vci_block()[0];
-        let tag = Self::coll_tag(guard, phase);
-        let specs: Vec<crate::pt2pt::SendSpec<'_>> = msgs
+        let tag = coll_tag(guard.seq, phase);
+        let specs: Vec<SendSpec<'_>> = msgs
             .iter()
-            .map(|&(dst, data)| crate::pt2pt::SendSpec {
+            .map(|&(dst, data)| SendSpec {
                 src_vci: vci,
                 dst_vci: vci,
                 ctx_id: self.context_id() | COLL_CTX_BIT,
@@ -113,52 +323,12 @@ impl Communicator {
         Ok(())
     }
 
-    fn coll_recv(
-        &self,
-        th: &mut ThreadCtx,
-        guard: &CollGuard<'_>,
-        phase: u32,
-        src: usize,
-    ) -> Result<Bytes> {
-        let pattern = MatchPattern {
-            context_id: self.context_id() | COLL_CTX_BIT,
-            src: src as i64,
-            tag: Self::coll_tag(guard, phase),
-        };
-        let req = self.irecv_on_vci(th, self.vci_block()[0], pattern)?;
-        // Route fabric/FT failures through the errhandler instead of letting
-        // `Request::wait` panic mid-collective: a poisoned or process-failure
-        // outcome inside a collective phase must surface as an error the
-        // caller (or the fatal default handler) can act on.
-        match req.wait_outcome(&mut th.clock) {
-            Ok((_st, data)) => Ok(data),
-            Err(e) => self.handle_error(e),
-        }
-    }
-
     /// Dissemination barrier across the communicator.
     pub fn barrier(&self, th: &mut ThreadCtx) -> Result<()> {
         let guard = self.coll_enter()?;
         let entered_at = th.clock.now();
-        let p = self.size();
-        let r = self.rank();
-        let mut phase = 0u32;
-        let mut dist = 1usize;
-        while dist < p {
-            let to = (r + dist) % p;
-            let from = (r + p - dist) % p;
-            self.coll_send(th, &guard, phase, to, &[])?;
-            self.coll_recv(th, &guard, phase, from)?;
-            dist <<= 1;
-            phase += 1;
-        }
-        rankmpi_obs::trace::busy(
-            "coll",
-            "barrier",
-            entered_at,
-            th.clock.now(),
-            rankmpi_obs::trace::ResId::NONE,
-        );
+        barrier(th, &guard)?;
+        coll_span("barrier", entered_at, th);
         Ok(())
     }
 
@@ -167,63 +337,9 @@ impl Communicator {
     pub fn bcast(&self, th: &mut ThreadCtx, root: usize, data: Option<&[u8]>) -> Result<Bytes> {
         let guard = self.coll_enter()?;
         let entered_at = th.clock.now();
-        let out = self.bcast_guarded(th, &guard, 0, root, data);
-        rankmpi_obs::trace::busy(
-            "coll",
-            "bcast",
-            entered_at,
-            th.clock.now(),
-            rankmpi_obs::trace::ResId::NONE,
-        );
+        let out = bcast(th, &guard, 0, root, data);
+        coll_span("bcast", entered_at, th);
         out
-    }
-
-    /// Broadcast body reusable inside composite collectives (phase-offset so
-    /// tags cannot collide with the enclosing collective's other phases).
-    fn bcast_guarded(
-        &self,
-        th: &mut ThreadCtx,
-        guard: &CollGuard<'_>,
-        phase: u32,
-        root: usize,
-        data: Option<&[u8]>,
-    ) -> Result<Bytes> {
-        let p = self.size();
-        let r = self.rank();
-        if root >= p {
-            return Err(Error::InvalidRank {
-                rank: root as i64,
-                size: p,
-            });
-        }
-        let vr = (r + p - root) % p; // virtual rank: root becomes 0
-        let buf: Bytes;
-        let mut mask = 1usize;
-        if vr == 0 {
-            buf = Bytes::copy_from_slice(
-                data.ok_or(Error::InvalidState("bcast root must supply data"))?,
-            );
-            while mask < p {
-                mask <<= 1;
-            }
-        } else {
-            // Find the lowest set bit: that is the edge to the parent.
-            while vr & mask == 0 {
-                mask <<= 1;
-            }
-            let parent = (vr - mask + root) % p;
-            buf = self.coll_recv(th, guard, phase, parent)?;
-        }
-        // Forward down the tree.
-        let mut m = mask >> 1;
-        while m > 0 {
-            if vr + m < p {
-                let child = (vr + m + root) % p;
-                self.coll_send(th, guard, phase, child, &buf)?;
-            }
-            m >>= 1;
-        }
-        Ok(buf)
     }
 
     /// Binomial-tree reduction to `root`. Returns `Some(result)` on the root,
@@ -236,52 +352,7 @@ impl Communicator {
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>> {
         let guard = self.coll_enter()?;
-        self.reduce_guarded(th, &guard, 0, root, contribution, op)
-    }
-
-    fn reduce_guarded(
-        &self,
-        th: &mut ThreadCtx,
-        guard: &CollGuard<'_>,
-        phase: u32,
-        root: usize,
-        contribution: &[f64],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        let p = self.size();
-        let r = self.rank();
-        if root >= p {
-            return Err(Error::InvalidRank {
-                rank: root as i64,
-                size: p,
-            });
-        }
-        let vr = (r + p - root) % p;
-        let mut acc = contribution.to_vec();
-        let costs = th.proc().costs().clone();
-        let mut mask = 1usize;
-        while mask < p {
-            if vr & mask != 0 {
-                let parent = (vr - mask + root) % p;
-                self.coll_send(th, guard, phase, parent, &f64s_to_bytes(&acc))?;
-                return Ok(None);
-            }
-            if vr + mask < p {
-                let child = (vr + mask + root) % p;
-                let data = self.coll_recv(th, guard, phase, child)?;
-                let other = bytes_to_f64s(&data);
-                if other.len() != acc.len() {
-                    return Err(Error::LengthMismatch {
-                        expected: acc.len(),
-                        got: other.len(),
-                    });
-                }
-                th.clock.advance(costs.reduce_cost(acc.len()));
-                op.apply(&mut acc, &other);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
+        reduce(th, &guard, 0, root, contribution, op)
     }
 
     /// Allreduce: reduce to rank 0, then broadcast the result.
@@ -293,22 +364,9 @@ impl Communicator {
     ) -> Result<Vec<f64>> {
         let guard = self.coll_enter()?;
         let entered_at = th.clock.now();
-        let reduced = self.reduce_guarded(th, &guard, 0, 0, contribution, op)?;
-        let out = self.bcast_guarded(
-            th,
-            &guard,
-            8, // phase offset separates the bcast's tags from the reduce's
-            0,
-            reduced.as_ref().map(|v| f64s_to_bytes(v)).as_deref(),
-        )?;
-        rankmpi_obs::trace::busy(
-            "coll",
-            "allreduce",
-            entered_at,
-            th.clock.now(),
-            rankmpi_obs::trace::ResId::NONE,
-        );
-        Ok(bytes_to_f64s(&out))
+        let out = allreduce(th, &guard, contribution, op)?;
+        coll_span("allreduce", entered_at, th);
+        Ok(out)
     }
 
     /// Gather equal-size byte contributions to `root`. Returns all
@@ -320,58 +378,14 @@ impl Communicator {
         data: &[u8],
     ) -> Result<Option<Vec<Bytes>>> {
         let guard = self.coll_enter()?;
-        self.gather_guarded(th, &guard, 0, root, data)
-    }
-
-    fn gather_guarded(
-        &self,
-        th: &mut ThreadCtx,
-        guard: &CollGuard<'_>,
-        phase: u32,
-        root: usize,
-        data: &[u8],
-    ) -> Result<Option<Vec<Bytes>>> {
-        let p = self.size();
-        let r = self.rank();
-        if r != root {
-            self.coll_send(th, guard, phase, root, data)?;
-            return Ok(None);
-        }
-        let mut out: Vec<Bytes> = vec![Bytes::new(); p];
-        out[r] = Bytes::copy_from_slice(data);
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src != root {
-                *slot = self.coll_recv(th, guard, phase, src)?;
-            }
-        }
-        Ok(Some(out))
+        gather(th, &guard, 0, root, data)
     }
 
     /// Allgather: gather to rank 0, then broadcast the concatenation.
     /// Contributions must be equal-sized.
     pub fn allgather(&self, th: &mut ThreadCtx, data: &[u8]) -> Result<Vec<Bytes>> {
         let guard = self.coll_enter()?;
-        let p = self.size();
-        let chunk = data.len();
-        let gathered = self.gather_guarded(th, &guard, 0, 0, data)?;
-        let concat: Option<Vec<u8>> = gathered.map(|parts| {
-            let mut c = Vec::with_capacity(chunk * p);
-            for part in &parts {
-                debug_assert_eq!(part.len(), chunk, "allgather needs equal sizes");
-                c.extend_from_slice(part);
-            }
-            c
-        });
-        let all = self.bcast_guarded(th, &guard, 8, 0, concat.as_deref())?;
-        if all.len() != chunk * p {
-            return Err(Error::LengthMismatch {
-                expected: chunk * p,
-                got: all.len(),
-            });
-        }
-        Ok((0..p)
-            .map(|i| all.slice(i * chunk..(i + 1) * chunk))
-            .collect())
+        allgather(th, &guard, data)
     }
 
     /// Scatter: the root sends `chunks[i]` to rank `i`; everyone returns
@@ -384,14 +398,8 @@ impl Communicator {
         chunks: Option<&[&[u8]]>,
     ) -> Result<Bytes> {
         let guard = self.coll_enter()?;
-        let p = self.size();
-        let r = self.rank();
-        if root >= p {
-            return Err(Error::InvalidRank {
-                rank: root as i64,
-                size: p,
-            });
-        }
+        check_root(&guard, root)?;
+        let (p, r) = (self.size(), self.rank());
         if r == root {
             let chunks = chunks.ok_or(Error::InvalidState("scatter root must supply chunks"))?;
             if chunks.len() != p {
@@ -409,7 +417,7 @@ impl Communicator {
             self.coll_send_multi(th, &guard, 0, &msgs)?;
             Ok(Bytes::copy_from_slice(chunks[root]))
         } else {
-            self.coll_recv(th, &guard, 0, root)
+            guard.recv(th, 0, root)
         }
     }
 
@@ -434,7 +442,7 @@ impl Communicator {
         // Reduce to rank 0, then scatter blocks (simple and predictable; the
         // classic pairwise reduce-scatter is an optimization, not a semantic
         // difference).
-        let reduced = self.reduce_guarded(th, &guard, 0, 0, contribution, op)?;
+        let reduced = reduce(th, &guard, 0, 0, contribution, op)?;
         if let Some(full) = reduced {
             let blocks: Vec<Vec<u8>> = (1..p)
                 .map(|dst| f64s_to_bytes(&full[dst * block..(dst + 1) * block]))
@@ -447,7 +455,7 @@ impl Communicator {
             self.coll_send_multi(th, &guard, 8, &msgs)?;
             Ok(full[..block].to_vec())
         } else {
-            let data = self.coll_recv(th, &guard, 8, 0)?;
+            let data = guard.recv(th, 8, 0)?;
             Ok(bytes_to_f64s(&data))
         }
     }
@@ -465,12 +473,12 @@ impl Communicator {
         let mut phase = 0u32;
         while d < p {
             let send = if r + d < p {
-                Some(self.coll_send(th, &guard, phase, r + d, &f64s_to_bytes(&acc))?)
+                Some(guard.send(th, phase, r + d, &f64s_to_bytes(&acc))?)
             } else {
                 None
             };
             if r >= d {
-                let data = self.coll_recv(th, &guard, phase, r - d)?;
+                let data = guard.recv(th, phase, r - d)?;
                 let other = bytes_to_f64s(&data);
                 if other.len() != acc.len() {
                     return Err(Error::LengthMismatch {
@@ -513,8 +521,8 @@ impl Communicator {
             let to = (r + step) % p;
             let from = (r + p - step) % p;
             // Phase 0 for all steps: each (src,dst) pair occurs once.
-            let send = self.coll_send(th, &guard, 0, to, chunks[to])?;
-            out[from] = self.coll_recv(th, &guard, 0, from)?;
+            let send = guard.send(th, 0, to, chunks[to])?;
+            out[from] = guard.recv(th, 0, from)?;
             send.wait(&mut th.clock);
         }
         Ok(out)

@@ -298,7 +298,7 @@ impl Communicator {
 
 /// RAII guard of one collective episode on a communicator.
 pub(crate) struct CollGuard<'a> {
-    comm: &'a Communicator,
+    pub comm: &'a Communicator,
     /// The collective's sequence number (embedded in its internal tags).
     pub seq: u64,
 }

@@ -1,4 +1,8 @@
 //! Point-to-point operations on communicators.
+//!
+//! [`send_eager`] and [`post_recv`] are the one send route and the one
+//! receive post: communicators and endpoints both reach the fabric through
+//! them, differing only in how they name ranks and pick VCIs.
 
 use std::sync::Arc;
 
@@ -6,7 +10,7 @@ use bytes::Bytes;
 use rankmpi_fabric::Header;
 use rankmpi_obs::trace as obs;
 
-use crate::comm::Communicator;
+use crate::comm::{Communicator, COLL_CTX_BIT};
 use crate::error::{Error, Result};
 use crate::info::keys;
 use crate::matching::{MatchPattern, Status, ANY_SOURCE, ANY_TAG};
@@ -14,6 +18,115 @@ use crate::proc::ThreadCtx;
 use crate::request::{ReqState, Request};
 use crate::tag::TAG_UB;
 use crate::vci::{select_recv_vci, select_vcis, KIND_PT2PT};
+
+/// Where an eager send goes: the VCIs on both sides, the destination
+/// process, the matching context, and the envelope's ranks in the caller's
+/// rank space (communicator ranks or endpoint ranks).
+#[derive(Debug)]
+pub struct Route {
+    /// Sender-side VCI index.
+    pub src_vci: usize,
+    /// World rank of the destination process.
+    pub proc: usize,
+    /// Receiver-side VCI index on `proc`.
+    pub dst_vci: usize,
+    /// Matching context id (collectives use a separate context).
+    pub ctx_id: u32,
+    /// Envelope source rank.
+    pub src: usize,
+    /// Envelope destination rank.
+    pub dst: usize,
+}
+
+/// The fault-tolerance refusals: nothing is posted on a revoked context, and
+/// nothing is sent to a process the detector has already declared dead —
+/// eager sends complete locally, so a completed send to a corpse would be a
+/// silent lie.
+fn refuse(th: &ThreadCtx, ctx_id: u32, dst_proc: Option<usize>) -> Result<()> {
+    let base_ctx = ctx_id & !COLL_CTX_BIT;
+    if th.proc().ft().is_revoked(base_ctx) {
+        return Err(Error::Revoked {
+            context_id: base_ctx,
+        });
+    }
+    if let Some(p) = dst_proc {
+        let liveness = th.proc().ft().liveness();
+        if liveness.detect_at(p).is_some_and(|at| th.clock.now() >= at) {
+            liveness.note_detection();
+            return Err(Error::ProcessFailed { rank: p as u32 });
+        }
+    }
+    Ok(())
+}
+
+/// A locally complete eager-send request.
+fn sent(th: &ThreadCtx, src: usize, tag: i64, len: usize) -> Request {
+    let req = ReqState::new(Arc::clone(th.proc().notify()));
+    req.complete(
+        th.clock.now(),
+        Status {
+            source: src,
+            tag,
+            len,
+        },
+        Bytes::new(),
+    );
+    Request::ready(req)
+}
+
+/// Eager send of `data` along `route`: the returned request is already
+/// locally complete. Errors (a revoked context, a dead destination) come
+/// back raw; communicators pass them through their error handler.
+pub fn send_eager(th: &mut ThreadCtx, route: &Route, tag: i64, data: &[u8]) -> Result<Request> {
+    let _mpi = th.enter_mpi();
+    th.proc().maybe_crash(&th.clock, true);
+    refuse(th, route.ctx_id, Some(route.proc))?;
+    let entered_at = th.clock.now();
+    // Eager-protocol copy out of the user buffer.
+    let copy = th.proc().costs().copy_cost(data.len());
+    th.clock.advance(copy);
+
+    let svci = th.proc().vci(route.src_vci);
+    let dst_proc = Arc::clone(th.universe().proc(route.proc));
+    let dvci = dst_proc.vci(route.dst_vci);
+    let intra = dst_proc.node() == th.proc().node();
+    let header = Header {
+        kind: KIND_PT2PT,
+        context_id: route.ctx_id,
+        src: route.src as u32,
+        dst: route.dst as u32,
+        tag,
+        seq: th.proc().next_seq(),
+        aux: 0,
+        aux2: 0,
+    };
+    let payload = svci.payload_pool().alloc(data);
+    svci.send_packet(&mut th.clock, &dvci, intra, header, payload);
+
+    obs::busy("pt2pt", "send", entered_at, th.clock.now(), svci.res_id());
+    Ok(sent(th, route.src, tag, data.len()))
+}
+
+/// Post a receive for `pattern` on the calling process's VCI `vci_idx`. A
+/// receive on a revoked context can never be satisfied, so it is refused up
+/// front rather than left for the VCI sweep; the error comes back raw.
+pub fn post_recv(th: &mut ThreadCtx, vci_idx: usize, pattern: MatchPattern) -> Result<Request> {
+    let _mpi = th.enter_mpi();
+    th.proc().maybe_crash(&th.clock, false);
+    refuse(th, pattern.context_id, None)?;
+    let entered_at = th.clock.now();
+    let setup = th.proc().costs().request_setup;
+    th.clock.advance(setup);
+    let vci = th.proc().vci(vci_idx);
+    let req = ReqState::new(Arc::clone(th.proc().notify()));
+    vci.post_recv(&mut th.clock, pattern, Arc::clone(&req));
+    obs::busy("pt2pt", "recv", entered_at, th.clock.now(), vci.res_id());
+    Ok(if req.is_complete() {
+        Request::ready(req)
+    } else {
+        Request::pending(req, vci)
+    })
+}
 
 /// One message of an [`isend_multi_on_vcis`] batch: explicit VCI indices and
 /// matching context, as in [`isend_on_vcis`].
@@ -70,9 +183,9 @@ impl Communicator {
     }
 
     /// Nonblocking send with explicit sender-side and receiver-side VCI
-    /// indices — the mechanism layer the endpoints design drives directly.
-    /// `ctx_id` allows internal traffic (collectives) to use a separate
-    /// matching context.
+    /// indices ([`send_eager`] in this communicator's rank space). `ctx_id`
+    /// allows internal traffic (collectives) to use a separate matching
+    /// context.
     #[allow(clippy::too_many_arguments)]
     pub fn isend_on_vcis(
         &self,
@@ -85,62 +198,15 @@ impl Communicator {
         data: &[u8],
     ) -> Result<Request> {
         self.check_rank(dst)?;
-        let _mpi = th.enter_mpi();
-        th.proc().maybe_crash(&th.clock, true);
-        let dst_global = self.global_rank(dst);
-        // FT fast paths: sends complete locally under the eager protocol, so
-        // a revoked communicator or an already-detected dead destination must
-        // be refused *here* — a completed send to a corpse is a silent lie.
-        let base_ctx = ctx_id & !crate::comm::COLL_CTX_BIT;
-        if th.proc().ft().is_revoked(base_ctx) {
-            return self.handle_error(Error::Revoked {
-                context_id: base_ctx,
-            });
-        }
-        if let Some(at) = th.proc().ft().liveness().detect_at(dst_global) {
-            if th.clock.now() >= at {
-                th.proc().ft().liveness().note_detection();
-                return self.handle_error(Error::ProcessFailed {
-                    rank: dst_global as u32,
-                });
-            }
-        }
-        let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-        // Eager-protocol copy out of the user buffer.
-        th.clock.advance(costs.copy_cost(data.len()));
-
-        let svci = th.proc().vci(src_vci);
-        let dst_proc = Arc::clone(th.universe().proc(dst_global));
-        let dvci = dst_proc.vci(dst_vci);
-        let intra = dst_proc.node() == th.proc().node();
-
-        let header = Header {
-            kind: KIND_PT2PT,
-            context_id: ctx_id,
-            src: self.rank() as u32,
-            dst: dst as u32,
-            tag,
-            seq: th.proc().next_seq(),
-            aux: 0,
-            aux2: 0,
+        let route = Route {
+            src_vci,
+            proc: self.global_rank(dst),
+            dst_vci,
+            ctx_id,
+            src: self.rank(),
+            dst,
         };
-        let payload = svci.payload_pool().alloc(data);
-        svci.send_packet(&mut th.clock, &dvci, intra, header, payload);
-
-        obs::busy("pt2pt", "send", entered_at, th.clock.now(), svci.res_id());
-
-        let req = ReqState::new(Arc::clone(th.proc().notify()));
-        req.complete(
-            th.clock.now(),
-            Status {
-                source: self.rank(),
-                tag,
-                len: data.len(),
-            },
-            Bytes::new(),
-        );
-        Ok(Request::ready(req))
+        send_eager(th, &route, tag, data).or_else(|e| self.handle_error(e))
     }
 
     /// Nonblocking multi-send: inject every message of `msgs` (`(dst, tag,
@@ -197,23 +263,9 @@ impl Communicator {
         }
         let _mpi = th.enter_mpi();
         th.proc().maybe_crash(&th.clock, true);
-        // FT fast paths, as in the single-send: eager completion forbids
-        // silently "sending" to a revoked context or a known-dead peer.
         for s in specs {
-            let base_ctx = s.ctx_id & !crate::comm::COLL_CTX_BIT;
-            if th.proc().ft().is_revoked(base_ctx) {
-                return self.handle_error(Error::Revoked {
-                    context_id: base_ctx,
-                });
-            }
-            let dst_global = self.global_rank(s.dst);
-            if let Some(at) = th.proc().ft().liveness().detect_at(dst_global) {
-                if th.clock.now() >= at {
-                    th.proc().ft().liveness().note_detection();
-                    return self.handle_error(Error::ProcessFailed {
-                        rank: dst_global as u32,
-                    });
-                }
+            if let Err(e) = refuse(th, s.ctx_id, Some(self.global_rank(s.dst))) {
+                return self.handle_error(e);
             }
         }
         let entered_at = th.clock.now();
@@ -291,19 +343,7 @@ impl Communicator {
         }
         Ok(specs
             .iter()
-            .map(|s| {
-                let req = ReqState::new(Arc::clone(th.proc().notify()));
-                req.complete(
-                    th.clock.now(),
-                    Status {
-                        source: self.rank(),
-                        tag: s.tag,
-                        len: s.data.len(),
-                    },
-                    Bytes::new(),
-                );
-                Request::ready(req)
-            })
+            .map(|s| sent(th, self.rank(), s.tag, s.data.len()))
             .collect())
     }
 
@@ -359,35 +399,15 @@ impl Communicator {
         }
     }
 
-    /// Nonblocking receive posted to an explicit VCI (endpoints/internal).
+    /// Nonblocking receive posted to an explicit VCI ([`post_recv`] under this
+    /// communicator's error handler).
     pub fn irecv_on_vci(
         &self,
         th: &mut ThreadCtx,
         vci_idx: usize,
         pattern: MatchPattern,
     ) -> Result<Request> {
-        let _mpi = th.enter_mpi();
-        th.proc().maybe_crash(&th.clock, false);
-        // A receive posted on a revoked communicator can never be satisfied;
-        // fail it up front rather than letting the VCI sweep find it later.
-        let base_ctx = pattern.context_id & !crate::comm::COLL_CTX_BIT;
-        if th.proc().ft().is_revoked(base_ctx) {
-            return self.handle_error(Error::Revoked {
-                context_id: base_ctx,
-            });
-        }
-        let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-        th.clock.advance(costs.request_setup);
-        let vci = th.proc().vci(vci_idx);
-        let req = ReqState::new(Arc::clone(th.proc().notify()));
-        vci.post_recv(&mut th.clock, pattern, Arc::clone(&req));
-        obs::busy("pt2pt", "recv", entered_at, th.clock.now(), vci.res_id());
-        Ok(if req.is_complete() {
-            Request::ready(req)
-        } else {
-            Request::pending(req, vci)
-        })
+        post_recv(th, vci_idx, pattern).or_else(|e| self.handle_error(e))
     }
 
     /// Nonblocking probe: is a matching message queued? Does not receive it.

@@ -1,7 +1,8 @@
 //! One-step collectives over endpoints (Lessons 18 and 19).
 //!
 //! Every endpoint participates in the collective as a rank of the endpoints
-//! communicator; the library's tree spans *all* endpoints, so the intranode
+//! communicator; the library's tree (`rankmpi_core::coll`'s, driven through
+//! an endpoint [`CollPort`]) spans *all* endpoints, so the intranode
 //! portion (endpoints on the same process/node, connected by the cheap
 //! shared-memory path) and the internode portion are both handled inside the
 //! call — the user never writes a manual intranode reduction, unlike the
@@ -14,69 +15,55 @@
 
 use std::sync::atomic::Ordering;
 
-use rankmpi_core::coll::{bytes_to_f64s, f64s_to_bytes};
+use bytes::Bytes;
+use rankmpi_core::coll::{self, coll_tag, CollPort};
 use rankmpi_core::comm::COLL_CTX_BIT;
-use rankmpi_core::tag::TAG_UB;
-use rankmpi_core::{Error, ReduceOp, Result, ThreadCtx};
+use rankmpi_core::request::Request;
+use rankmpi_core::{ReduceOp, Result, ThreadCtx};
 
 use crate::endpoint::Endpoint;
 use crate::topology::EndpointTopology;
 
+/// One endpoint's side of one collective episode: endpoint ranks on the
+/// endpoints communicator's collective context.
+struct EpPort<'a> {
+    ep: &'a Endpoint,
+    seq: u64,
+}
+
+impl CollPort for EpPort<'_> {
+    fn rank(&self) -> usize {
+        self.ep.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.ep.size()
+    }
+
+    fn send(&self, th: &mut ThreadCtx, phase: u32, dst: usize, data: &[u8]) -> Result<Request> {
+        let ctx = self.ep.topology().ctx_id | COLL_CTX_BIT;
+        self.ep
+            .isend_ctx(th, ctx, dst, coll_tag(self.seq, phase), data)
+    }
+
+    fn recv(&self, th: &mut ThreadCtx, phase: u32, src: usize) -> Result<Bytes> {
+        let ctx = self.ep.topology().ctx_id | COLL_CTX_BIT;
+        let req = self
+            .ep
+            .irecv_ctx(th, ctx, src as i64, coll_tag(self.seq, phase))?;
+        Ok(req.wait_outcome(&mut th.clock)?.1)
+    }
+}
+
 impl Endpoint {
-    fn coll_tag(seq: u64, phase: u32) -> i64 {
-        (((seq % ((TAG_UB as u64 + 1) / 16)) * 16) + phase as u64) as i64
-    }
-
-    fn coll_send(
-        &self,
-        th: &mut ThreadCtx,
-        seq: u64,
-        phase: u32,
-        dst_ep: usize,
-        data: &[u8],
-    ) -> Result<()> {
-        let r = self.isend_ctx(
-            th,
-            self.topology().ctx_id | COLL_CTX_BIT,
-            dst_ep,
-            Self::coll_tag(seq, phase),
-            data,
-        )?;
-        r.wait(&mut th.clock);
-        Ok(())
-    }
-
-    fn coll_recv(
-        &self,
-        th: &mut ThreadCtx,
-        seq: u64,
-        phase: u32,
-        src_ep: usize,
-    ) -> Result<bytes::Bytes> {
-        let req = self.irecv_ctx(
-            th,
-            self.topology().ctx_id | COLL_CTX_BIT,
-            src_ep as i64,
-            Self::coll_tag(seq, phase),
-        )?;
-        let (_st, data) = req.wait(&mut th.clock);
-        Ok(data)
+    fn port(&self) -> EpPort<'_> {
+        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
+        EpPort { ep: self, seq }
     }
 
     /// Dissemination barrier across all endpoints.
     pub fn ep_barrier(&self, th: &mut ThreadCtx) -> Result<()> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        let p = self.size();
-        let r = self.rank();
-        let mut phase = 0u32;
-        let mut dist = 1usize;
-        while dist < p {
-            self.coll_send(th, seq, phase, (r + dist) % p, &[])?;
-            self.coll_recv(th, seq, phase, (r + p - dist) % p)?;
-            dist <<= 1;
-            phase += 1;
-        }
-        Ok(())
+        coll::barrier(th, &self.port())
     }
 
     /// Binomial broadcast from endpoint `root_ep` across all endpoints.
@@ -85,51 +72,8 @@ impl Endpoint {
         th: &mut ThreadCtx,
         root_ep: usize,
         data: Option<&[u8]>,
-    ) -> Result<bytes::Bytes> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        self.bcast_inner(th, seq, 0, root_ep, data)
-    }
-
-    fn bcast_inner(
-        &self,
-        th: &mut ThreadCtx,
-        seq: u64,
-        phase: u32,
-        root_ep: usize,
-        data: Option<&[u8]>,
-    ) -> Result<bytes::Bytes> {
-        let p = self.size();
-        let r = self.rank();
-        if root_ep >= p {
-            return Err(Error::InvalidRank {
-                rank: root_ep as i64,
-                size: p,
-            });
-        }
-        let vr = (r + p - root_ep) % p;
-        let buf: bytes::Bytes;
-        let mut mask = 1usize;
-        if vr == 0 {
-            buf = bytes::Bytes::copy_from_slice(
-                data.ok_or(Error::InvalidState("bcast root must supply data"))?,
-            );
-            while mask < p {
-                mask <<= 1;
-            }
-        } else {
-            while vr & mask == 0 {
-                mask <<= 1;
-            }
-            buf = self.coll_recv(th, seq, phase, (vr - mask + root_ep) % p)?;
-        }
-        let mut m = mask >> 1;
-        while m > 0 {
-            if vr + m < p {
-                self.coll_send(th, seq, phase, (vr + m + root_ep) % p, &buf)?;
-            }
-            m >>= 1;
-        }
-        Ok(buf)
+    ) -> Result<Bytes> {
+        coll::bcast(th, &self.port(), 0, root_ep, data)
     }
 
     /// Binomial reduction to endpoint `root_ep`.
@@ -140,57 +84,7 @@ impl Endpoint {
         contribution: &[f64],
         op: ReduceOp,
     ) -> Result<Option<Vec<f64>>> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        self.reduce_inner(th, seq, 0, root_ep, contribution, op)
-    }
-
-    fn reduce_inner(
-        &self,
-        th: &mut ThreadCtx,
-        seq: u64,
-        phase: u32,
-        root_ep: usize,
-        contribution: &[f64],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>> {
-        let p = self.size();
-        let r = self.rank();
-        if root_ep >= p {
-            return Err(Error::InvalidRank {
-                rank: root_ep as i64,
-                size: p,
-            });
-        }
-        let vr = (r + p - root_ep) % p;
-        let mut acc = contribution.to_vec();
-        let costs = th.proc().costs().clone();
-        let mut mask = 1usize;
-        while mask < p {
-            if vr & mask != 0 {
-                self.coll_send(
-                    th,
-                    seq,
-                    phase,
-                    (vr - mask + root_ep) % p,
-                    &f64s_to_bytes(&acc),
-                )?;
-                return Ok(None);
-            }
-            if vr + mask < p {
-                let data = self.coll_recv(th, seq, phase, (vr + mask + root_ep) % p)?;
-                let other = bytes_to_f64s(&data);
-                if other.len() != acc.len() {
-                    return Err(Error::LengthMismatch {
-                        expected: acc.len(),
-                        got: other.len(),
-                    });
-                }
-                th.clock.advance(costs.reduce_cost(acc.len()));
-                op.apply(&mut acc, &other);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(acc))
+        coll::reduce(th, &self.port(), 0, root_ep, contribution, op)
     }
 
     /// One-step allreduce across all endpoints: every endpoint contributes
@@ -202,50 +96,12 @@ impl Endpoint {
         contribution: &[f64],
         op: ReduceOp,
     ) -> Result<Vec<f64>> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        let reduced = self.reduce_inner(th, seq, 0, 0, contribution, op)?;
-        let out = self.bcast_inner(
-            th,
-            seq,
-            8,
-            0,
-            reduced.as_ref().map(|v| f64s_to_bytes(v)).as_deref(),
-        )?;
-        Ok(bytes_to_f64s(&out))
+        coll::allreduce(th, &self.port(), contribution, op)
     }
 
     /// Allgather across all endpoints (equal-size contributions).
-    pub fn ep_allgather(&self, th: &mut ThreadCtx, data: &[u8]) -> Result<Vec<bytes::Bytes>> {
-        let seq = self.coll_seq.fetch_add(1, Ordering::Relaxed);
-        let p = self.size();
-        let r = self.rank();
-        let chunk = data.len();
-        // Gather to endpoint 0.
-        let concat: Option<Vec<u8>> = if r == 0 {
-            let mut parts: Vec<bytes::Bytes> = vec![bytes::Bytes::new(); p];
-            parts[0] = bytes::Bytes::copy_from_slice(data);
-            for (src, slot) in parts.iter_mut().enumerate().skip(1) {
-                *slot = self.coll_recv(th, seq, 0, src)?;
-            }
-            let mut c = Vec::with_capacity(chunk * p);
-            for part in &parts {
-                c.extend_from_slice(part);
-            }
-            Some(c)
-        } else {
-            self.coll_send(th, seq, 0, 0, data)?;
-            None
-        };
-        let all = self.bcast_inner(th, seq, 8, 0, concat.as_deref())?;
-        if all.len() != chunk * p {
-            return Err(Error::LengthMismatch {
-                expected: chunk * p,
-                got: all.len(),
-            });
-        }
-        Ok((0..p)
-            .map(|i| all.slice(i * chunk..(i + 1) * chunk))
-            .collect())
+    pub fn ep_allgather(&self, th: &mut ThreadCtx, data: &[u8]) -> Result<Vec<Bytes>> {
+        coll::allgather(th, &self.port(), data)
     }
 }
 
@@ -285,51 +141,70 @@ mod tests {
     use crate::comm_create_endpoints;
     use rankmpi_core::{Info, Universe};
 
-    #[test]
-    fn one_step_allreduce_across_all_endpoints() {
-        // 2 procs x 3 endpoints: all 6 endpoints allreduce in ONE call — the
-        // library handles internode + intranode (Lesson 18).
-        let u = Universe::builder().nodes(2).threads_per_proc(3).build();
-        let out = u.run(|env| {
+    /// Endpoints per process, by process: 6 endpoints on 2 processes, and
+    /// the non-power-of-two totals 3 (one process) and 5 (uneven counts).
+    const LAYOUTS: [&[usize]; 3] = [&[3, 3], &[3], &[2, 3]];
+
+    /// Run `f` once per endpoint of `layout`, each on its own thread; results
+    /// come back per process in endpoint order.
+    fn run_eps<R: Send>(
+        layout: &[usize],
+        f: impl Fn(&Endpoint, &mut ThreadCtx) -> R + Sync,
+    ) -> Vec<Vec<R>> {
+        let max = layout.iter().copied().max().unwrap();
+        let u = Universe::builder()
+            .nodes(layout.len())
+            .threads_per_proc(max)
+            .build();
+        u.run(|env| {
             let world = env.world();
             let mut th0 = env.single_thread();
-            let eps = comm_create_endpoints(&world, &mut th0, 3, &Info::new()).unwrap();
-            let eps = &eps;
-            env.parallel(|th| {
-                let ep = &eps[th.tid()];
-                ep.ep_allreduce(th, &[ep.rank() as f64], ReduceOp::Sum)
-                    .unwrap()
-            })
-        });
-        // Sum of ep ranks 0..6 = 15; every endpoint holds its own copy.
-        for per_proc in out {
-            for v in per_proc {
-                assert_eq!(v, vec![15.0]);
+            let n = layout[env.rank()];
+            let eps = comm_create_endpoints(&world, &mut th0, n, &Info::new()).unwrap();
+            env.parallel_n(n, |th| f(&eps[th.tid()], th))
+        })
+    }
+
+    #[test]
+    fn one_step_allreduce_across_all_endpoints() {
+        // All endpoints of all processes reduce in ONE call — the library
+        // handles internode + intranode (Lesson 18).
+        for layout in LAYOUTS {
+            let p: usize = layout.iter().sum();
+            let out = run_eps(layout, |ep, th| {
+                let all = ep
+                    .ep_allreduce(th, &[ep.rank() as f64], ReduceOp::Sum)
+                    .unwrap();
+                let root = ep
+                    .ep_reduce(th, p - 1, &[ep.rank() as f64, 1.0], ReduceOp::Max)
+                    .unwrap();
+                (ep.rank(), all, root)
+            });
+            // Every endpoint holds its own copy of the sum of ep ranks; only
+            // the last endpoint gets the rooted reduction.
+            let sum = (p * (p - 1) / 2) as f64;
+            for (rank, all, root) in out.into_iter().flatten() {
+                assert_eq!(all, vec![sum], "layout {layout:?}");
+                let want = (rank == p - 1).then(|| vec![(p - 1) as f64, 1.0]);
+                assert_eq!(root, want, "layout {layout:?}, ep {rank}");
             }
         }
     }
 
     #[test]
     fn ep_barrier_joins_all_endpoint_clocks() {
-        let u = Universe::builder().nodes(2).threads_per_proc(2).build();
-        let times = u.run(|env| {
-            let world = env.world();
-            let mut th0 = env.single_thread();
-            let eps = comm_create_endpoints(&world, &mut th0, 2, &Info::new()).unwrap();
-            let eps = &eps;
-            env.parallel(|th| {
-                let ep = &eps[th.tid()];
+        for layout in LAYOUTS {
+            let p: usize = layout.iter().sum();
+            let times = run_eps(layout, |ep, th| {
                 // Stagger by global endpoint rank.
                 th.compute(rankmpi_vtime::Nanos(ep.rank() as u64 * 5_000));
                 ep.ep_barrier(th).unwrap();
                 th.clock.now()
-            })
-        });
-        for per_proc in &times {
-            for t in per_proc {
+            });
+            for t in times.iter().flatten() {
                 assert!(
-                    t.as_ns() >= 15_000,
-                    "no endpoint leaves before the slowest entered"
+                    t.as_ns() >= (p as u64 - 1) * 5_000,
+                    "no endpoint leaves before the slowest entered ({layout:?})"
                 );
             }
         }
@@ -337,43 +212,28 @@ mod tests {
 
     #[test]
     fn ep_bcast_reaches_every_endpoint() {
-        let u = Universe::builder().nodes(2).threads_per_proc(2).build();
-        let out = u.run(|env| {
-            let world = env.world();
-            let mut th0 = env.single_thread();
-            let eps = comm_create_endpoints(&world, &mut th0, 2, &Info::new()).unwrap();
-            let eps = &eps;
-            env.parallel(|th| {
-                let ep = &eps[th.tid()];
+        for layout in LAYOUTS {
+            let out = run_eps(layout, |ep, th| {
                 let data = (ep.rank() == 1).then_some(&b"hello-eps"[..]);
                 ep.ep_bcast(th, 1, data).unwrap().to_vec()
-            })
-        });
-        for per_proc in out {
-            for b in per_proc {
-                assert_eq!(&b[..], b"hello-eps");
+            });
+            for b in out.iter().flatten() {
+                assert_eq!(&b[..], b"hello-eps", "layout {layout:?}");
             }
         }
     }
 
     #[test]
     fn ep_allgather_orders_by_endpoint_rank() {
-        let u = Universe::builder().nodes(2).threads_per_proc(2).build();
-        let out = u.run(|env| {
-            let world = env.world();
-            let mut th0 = env.single_thread();
-            let eps = comm_create_endpoints(&world, &mut th0, 2, &Info::new()).unwrap();
-            let eps = &eps;
-            env.parallel(|th| {
-                let ep = &eps[th.tid()];
-                let mine = [ep.rank() as u8 + 100];
-                let all = ep.ep_allgather(th, &mine).unwrap();
+        for layout in LAYOUTS {
+            let p: usize = layout.iter().sum();
+            let out = run_eps(layout, |ep, th| {
+                let all = ep.ep_allgather(th, &[ep.rank() as u8 + 100]).unwrap();
                 all.iter().map(|b| b[0]).collect::<Vec<u8>>()
-            })
-        });
-        for per_proc in out {
-            for v in per_proc {
-                assert_eq!(v, vec![100, 101, 102, 103]);
+            });
+            let want: Vec<u8> = (0..p as u8).map(|r| r + 100).collect();
+            for v in out.iter().flatten() {
+                assert_eq!(v, &want, "layout {layout:?}");
             }
         }
     }

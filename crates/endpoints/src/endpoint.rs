@@ -5,12 +5,10 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rankmpi_core::matching::{MatchPattern, Status, ANY_SOURCE, ANY_TAG};
-use rankmpi_core::request::{ReqState, Request};
+use rankmpi_core::pt2pt::{self, Route};
+use rankmpi_core::request::Request;
 use rankmpi_core::tag::TAG_UB;
-use rankmpi_core::universe::UniverseShared;
-use rankmpi_core::vci::KIND_PT2PT;
 use rankmpi_core::{Error, ProcShared, Result, ThreadCtx};
-use rankmpi_fabric::Header;
 
 use crate::topology::EndpointTopology;
 
@@ -25,7 +23,6 @@ use crate::topology::EndpointTopology;
 pub struct Endpoint {
     topo: Arc<EndpointTopology>,
     proc: Arc<ProcShared>,
-    universe: Arc<UniverseShared>,
     ep_rank: usize,
     vci_idx: usize,
     /// Collective sequence number (advances in lockstep across all endpoints
@@ -37,14 +34,12 @@ impl Endpoint {
     pub(crate) fn new(
         topo: Arc<EndpointTopology>,
         proc: Arc<ProcShared>,
-        universe: Arc<UniverseShared>,
         ep_rank: usize,
         vci_idx: usize,
     ) -> Self {
         Endpoint {
             topo,
             proc,
-            universe,
             ep_rank,
             vci_idx,
             coll_seq: AtomicU64::new(0),
@@ -94,6 +89,18 @@ impl Endpoint {
         Ok(())
     }
 
+    /// Validate a receive or probe envelope: an endpoint rank or
+    /// [`ANY_SOURCE`], a tag in range or [`ANY_TAG`].
+    fn check_recv(&self, src: i64, tag: i64) -> Result<()> {
+        if src != ANY_SOURCE {
+            self.check_ep(src as usize)?;
+        }
+        if tag != ANY_TAG {
+            Self::check_tag(tag)?;
+        }
+        Ok(())
+    }
+
     /// Nonblocking send to endpoint `dst_ep` (eager: locally complete).
     pub fn isend(
         &self,
@@ -105,6 +112,7 @@ impl Endpoint {
         self.isend_ctx(th, self.topo.ctx_id, dst_ep, tag, data)
     }
 
+    /// Map `dst_ep` to its process and VCI and send on the shared eager route.
     pub(crate) fn isend_ctx(
         &self,
         th: &mut ThreadCtx,
@@ -115,45 +123,15 @@ impl Endpoint {
     ) -> Result<Request> {
         self.check_ep(dst_ep)?;
         Self::check_tag(tag)?;
-        let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-        th.clock.advance(costs.copy_cost(data.len()));
-
-        let svci = self.proc.vci(self.vci_idx);
-        let dst_proc = Arc::clone(self.universe.proc(self.topo.proc_of(dst_ep)));
-        let dvci = dst_proc.vci(self.topo.vci_of(dst_ep));
-        let intra = dst_proc.node() == self.proc.node();
-
-        let header = Header {
-            kind: KIND_PT2PT,
-            context_id: ctx_id,
-            src: self.ep_rank as u32,
-            dst: dst_ep as u32,
-            tag,
-            seq: self.proc.next_seq(),
-            aux: 0,
-            aux2: 0,
+        let route = Route {
+            src_vci: self.vci_idx,
+            proc: self.topo.proc_of(dst_ep),
+            dst_vci: self.topo.vci_of(dst_ep),
+            ctx_id,
+            src: self.ep_rank,
+            dst: dst_ep,
         };
-        svci.send_packet(
-            &mut th.clock,
-            &dvci,
-            intra,
-            header,
-            Bytes::copy_from_slice(data),
-        );
-
-        let req = ReqState::new(Arc::clone(self.proc.notify()));
-        req.complete(
-            th.clock.now(),
-            Status {
-                source: self.ep_rank,
-                tag,
-                len: data.len(),
-            },
-            Bytes::new(),
-        );
-        rankmpi_obs::trace::busy("ep", "ep_send", entered_at, th.clock.now(), svci.res_id());
-        Ok(Request::ready(req))
+        pt2pt::send_eager(th, &route, tag, data)
     }
 
     /// Blocking send.
@@ -170,6 +148,7 @@ impl Endpoint {
         self.irecv_ctx(th, self.topo.ctx_id, src, tag)
     }
 
+    /// Post a receive on this endpoint's VCI through the shared receive post.
     pub(crate) fn irecv_ctx(
         &self,
         th: &mut ThreadCtx,
@@ -177,46 +156,30 @@ impl Endpoint {
         src: i64,
         tag: i64,
     ) -> Result<Request> {
-        if src != ANY_SOURCE {
-            self.check_ep(src as usize)?;
-        }
-        if tag != ANY_TAG {
-            Self::check_tag(tag)?;
-        }
-        let entered_at = th.clock.now();
-        let costs = th.proc().costs().clone();
-        th.clock.advance(costs.request_setup);
-        let vci = self.proc.vci(self.vci_idx);
-        let req = ReqState::new(Arc::clone(self.proc.notify()));
+        self.check_recv(src, tag)?;
         let pattern = MatchPattern {
             context_id: ctx_id,
             src,
             tag,
         };
-        vci.post_recv(&mut th.clock, pattern, Arc::clone(&req));
-        rankmpi_obs::trace::busy("ep", "ep_recv", entered_at, th.clock.now(), vci.res_id());
-        Ok(if req.is_complete() {
-            Request::ready(req)
-        } else {
-            Request::pending(req, vci)
-        })
+        pt2pt::post_recv(th, self.vci_idx, pattern)
     }
 
     /// Blocking receive.
     pub fn recv(&self, th: &mut ThreadCtx, src: i64, tag: i64) -> Result<(Status, Bytes)> {
-        let r = self.irecv(th, src, tag)?;
-        Ok(r.wait(&mut th.clock))
+        self.irecv(th, src, tag)?.wait_outcome(&mut th.clock)
     }
 
     /// Nonblocking probe on this endpoint (wildcards always legal).
     pub fn iprobe(&self, th: &mut ThreadCtx, src: i64, tag: i64) -> Result<Option<Status>> {
-        let vci = self.proc.vci(self.vci_idx);
+        self.check_recv(src, tag)?;
+        let _mpi = th.enter_mpi();
         let pattern = MatchPattern {
             context_id: self.topo.ctx_id,
             src,
             tag,
         };
-        Ok(vci.iprobe(&mut th.clock, &pattern))
+        Ok(self.proc.vci(self.vci_idx).iprobe(&mut th.clock, &pattern))
     }
 
     /// Probe-and-receive if a matching message is already here.
@@ -350,9 +313,27 @@ mod tests {
             let world = env.world();
             let mut th = env.single_thread();
             let eps = comm_create_endpoints(&world, &mut th, 1, &Info::new()).unwrap();
+            let ep = &eps[0];
             assert!(matches!(
-                eps[0].send(&mut th, 99, 0, b""),
+                ep.send(&mut th, 99, 0, b""),
                 Err(Error::InvalidRank { .. })
+            ));
+            // Probes validate their envelope like receives do.
+            assert!(matches!(
+                ep.iprobe(&mut th, 99, 0),
+                Err(Error::InvalidRank { rank: 99, .. })
+            ));
+            assert!(matches!(
+                ep.iprobe(&mut th, 0, -7),
+                Err(Error::TagOutOfRange { tag: -7 })
+            ));
+            assert!(matches!(
+                ep.try_recv(&mut th, 99, ANY_TAG),
+                Err(Error::InvalidRank { .. })
+            ));
+            assert!(matches!(
+                ep.try_recv(&mut th, ANY_SOURCE, TAG_UB + 1),
+                Err(Error::TagOutOfRange { .. })
             ));
         });
     }

@@ -12,6 +12,15 @@
 //! remote endpoint directly, exactly like MPI-everywhere addressing
 //! (Lesson 10).
 //!
+//! Endpoints are a thin rank map over the core library, not a parallel
+//! stack: an [`EndpointTopology`] maps each endpoint rank to its owning
+//! (process, VCI), point-to-point calls turn endpoint ranks into a
+//! [`rankmpi_core::pt2pt::Route`] for the shared eager send and receive post,
+//! and the collectives run `rankmpi_core::coll`'s algorithms through a small
+//! [`rankmpi_core::coll::CollPort`]. Endpoint traffic thus gets the same
+//! thread-level checks, crash hooks and revoked/dead-peer refusals as
+//! communicator traffic, and failures come back as errors.
+//!
 //! Implementation notes mirroring the paper's discussion:
 //! - each endpoint owns a *dedicated VCI* (matching engine + mailbox +
 //!   hardware context), allocated from the node's bounded context pool — so

@@ -69,7 +69,7 @@ pub fn comm_create_endpoints(
         return Err(Error::InvalidState("my_num_ep must be at least 1"));
     }
     let engine = info.matching_engine()?;
-    let universe = parent.universe().clone();
+    let universe = parent.universe();
     let proc = parent.proc().clone();
 
     // Creation-op index in a key space disjoint from dup/split and windows.
@@ -139,15 +139,7 @@ pub fn comm_create_endpoints(
 
     let base = offsets[parent.rank()];
     Ok((0..my_num_ep)
-        .map(|i| {
-            Endpoint::new(
-                Arc::clone(&topo),
-                proc.clone(),
-                universe.clone(),
-                base + i,
-                my_vcis[i],
-            )
-        })
+        .map(|i| Endpoint::new(Arc::clone(&topo), proc.clone(), base + i, my_vcis[i]))
         .collect())
 }
 

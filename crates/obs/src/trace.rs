@@ -20,7 +20,7 @@
 use std::cell::Cell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use rankmpi_vtime::Nanos;
 
@@ -98,9 +98,11 @@ impl ResId {
 #[derive(Debug, Clone, Copy)]
 pub struct Span {
     /// Layer/category (`"pt2pt"`, `"match"`, `"vci"`, `"fabric"`, `"part"`,
-    /// `"coll"`, `"rma"`, `"ep"`, `"resil"`). This is what the acceptance
-    /// criterion's "spans from at least four layers" counts. The `"resil"`
-    /// layer carries the reliability protocol: `retransmit`,
+    /// `"coll"`, `"rma"`, `"resil"`). This is what the acceptance
+    /// criterion's "spans from at least four layers" counts. Endpoint
+    /// operations record `"pt2pt"` `send`/`recv` spans (they share the
+    /// communicators' send route); there is no separate endpoint layer.
+    /// The `"resil"` layer carries the reliability protocol: `retransmit`,
     /// `spurious_rexmit`, and `exhausted` busy spans on the source context,
     /// `window_stall` waits for send-window backpressure, and `failover`
     /// busy spans when a VCI remaps off a failed hardware context.
@@ -311,13 +313,27 @@ pub fn wait(cat: &'static str, name: &'static str, start: Nanos, end: Nanos, res
     }
 }
 
+/// Whether a session is running; [`SESSION_ENDED`] signals it clearing.
+static SESSION: Mutex<bool> = Mutex::new(false);
+static SESSION_ENDED: Condvar = Condvar::new();
+
 /// Start a collection session: clears every registered ring and enables
 /// recording. Sessions are global to the process; bracket them around
-/// quiescent points (no simulated threads running).
+/// quiescent points (no simulated threads running). While another session
+/// is running this waits for its [`session_stop`], so concurrent sessions
+/// (e.g. parallel tests) never reset or stop each other's recording.
 pub fn session_start() {
     if !COMPILED {
         return;
     }
+    // A bool is valid after any panic, so a poisoned lock is still usable.
+    let mut running = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
+    while *running {
+        running = SESSION_ENDED
+            .wait(running)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    *running = true;
     for b in buf_registry().lock().unwrap().iter() {
         b.reset();
     }
@@ -334,6 +350,8 @@ pub fn session_stop() -> Trace {
     for b in buf_registry().lock().unwrap().iter() {
         trace.dropped += b.drain_into(&mut trace.spans);
     }
+    *SESSION.lock().unwrap_or_else(PoisonError::into_inner) = false;
+    SESSION_ENDED.notify_one();
     trace
 }
 

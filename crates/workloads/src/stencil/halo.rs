@@ -260,9 +260,10 @@ pub fn run_halo_traced(
     cfg: &HaloConfig,
 ) -> (HaloReport, rankmpi_obs::trace::Trace) {
     rankmpi_obs::trace::session_start();
-    let rep = run_halo(mech, cfg);
+    // Stop the session even if the run panics: the next session waits for it.
+    let rep = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_halo(mech, cfg)));
     let trace = rankmpi_obs::trace::session_stop();
-    (rep, trace)
+    (rep.unwrap_or_else(|p| std::panic::resume_unwind(p)), trace)
 }
 
 /// Per-thread exchange loop shared by the comm-map and tag mechanisms.
